@@ -26,9 +26,15 @@
 // jobs count additionally measures the result cache: the warm sweep must
 // analyze zero shards and emit the same bytes.
 //
+// A trace-arena probe runs a 10^5-iteration loop chain through the arena
+// and gates its trace nodes per op and live-node high watermark, which do
+// not depend on the hardware, under fixed ceilings.
+//
 // Usage: bench_engine_scaling [--json-out FILE] [--ledger-dir DIR]
 //                             [samples-per-benchmark] [shard-size]
 //                             [cache-dir]
+// --help prints the usage and runs nothing; an unknown flag or a
+// non-numeric count exits with status 2.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,10 +48,12 @@
 #include "support/Format.h"
 #include "support/LimbAlloc.h"
 #include "support/Metrics.h"
+#include "trace/SymExpr.h"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -266,6 +274,88 @@ NativeProbe runNativeProbe() {
   return Probe;
 }
 
+/// Trace-arena probe: the accumulation chain s = s + x_i of the loop
+/// benchmarks, run through the arena the way one shadowed op uses it --
+/// build the node, anti-unify it into the site's symbolic expression,
+/// drop the overwritten trace. Nodes per op and the live-node high
+/// watermark are exact counts, so they are gated; ns per op is recorded.
+struct TraceProbe {
+  static constexpr uint64_t Iterations = 100000;
+  uint32_t MaxDepth = AnalysisConfig().MaxExprDepth;
+  double NodesPerOp = 0.0;
+  size_t LiveHigh = 0;
+  double NsPerOp = 0.0;
+
+  /// Ceilings: a bounded arena allocates the op node, its fresh leaf and
+  /// an amortized trimmed copy per op, and holds at most a few chain
+  /// lengths of nodes at once.
+  double nodesPerOpCeiling() const { return 4.0; }
+  size_t liveHighCeiling() const { return 6 * size_t(MaxDepth); }
+  bool bounded() const {
+    return NodesPerOp <= nodesPerOpCeiling() && LiveHigh <= liveHighCeiling();
+  }
+};
+
+TraceProbe runTraceProbe() {
+  TraceProbe Probe;
+  TraceArena Arena(Probe.MaxDepth, AnalysisConfig().EquivDepth);
+  TraceNode *Sum = Arena.leaf(0.0);
+  std::unique_ptr<SymExpr> Expr;
+  uint32_t NextVar = 0;
+  std::vector<VarBinding> Bindings;
+  double S = 0.0;
+  double Seconds = timeIt([&] {
+    for (uint64_t I = 1; I <= TraceProbe::Iterations; ++I) {
+      double X = 1.0 / static_cast<double>(I);
+      S += X;
+      TraceNode *Kids[2] = {Sum, Arena.leaf(X)};
+      TraceNode *Next = Arena.node(Opcode::AddF64, 0, S, Kids, 2);
+      Arena.release(Kids[1]);
+      Expr = Expr ? antiUnify(Arena, Expr.get(), Next, NextVar, Bindings)
+                  : symbolize(Arena, Next);
+      // Sampled while the overwritten trace is still held: the peak.
+      Probe.LiveHigh = std::max(Probe.LiveHigh, Arena.liveNodes());
+      Arena.release(Sum);
+      Sum = Next;
+    }
+  });
+  Arena.release(Sum);
+  Probe.NodesPerOp = static_cast<double>(Arena.totalAllocated()) /
+                     static_cast<double>(TraceProbe::Iterations);
+  Probe.NsPerOp = 1e9 * Seconds / static_cast<double>(TraceProbe::Iterations);
+  return Probe;
+}
+
+void printUsage(std::FILE *Out, const char *Argv0) {
+  std::fprintf(Out,
+               "usage: %s [--json-out FILE] [--ledger-dir DIR]\n"
+               "         [samples-per-benchmark] [shard-size] [cache-dir]\n"
+               "  --json-out FILE   perf record (default BENCH_engine.json)\n"
+               "  --ledger-dir DIR  run-ledger directory (default "
+               "BENCH_ledger)\n"
+               "  samples-per-benchmark (default 32) and shard-size "
+               "(default 4) are\n"
+               "  non-negative integers; a cache-dir adds the cold/warm "
+               "cache pair\n",
+               Argv0);
+}
+
+/// Parses a non-negative decimal count that fits an int.
+bool parseCount(const char *S, int &Out) {
+  if (!*S)
+    return false;
+  long long V = 0;
+  for (const char *P = S; *P; ++P) {
+    if (*P < '0' || *P > '9')
+      return false;
+    V = V * 10 + (*P - '0');
+    if (V > INT32_MAX)
+      return false;
+  }
+  Out = static_cast<int>(V);
+  return true;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -274,6 +364,11 @@ int main(int Argc, char **Argv) {
   std::string LedgerDir = "BENCH_ledger";
   std::vector<const char *> Positional;
   for (int I = 1; I < Argc; ++I) {
+    if (std::strcmp(Argv[I], "--help") == 0 ||
+        std::strcmp(Argv[I], "-h") == 0) {
+      printUsage(stdout, Argv[0]);
+      return 0;
+    }
     if (std::strcmp(Argv[I], "--json-out") == 0) {
       if (I + 1 >= Argc) {
         std::fprintf(stderr, "error: --json-out needs a file path\n");
@@ -286,9 +381,24 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       LedgerDir = Argv[++I];
+    } else if (Argv[I][0] == '-') {
+      std::fprintf(stderr, "error: unknown option '%s'\n", Argv[I]);
+      printUsage(stderr, Argv[0]);
+      return 2;
     } else {
       Positional.push_back(Argv[I]);
     }
+  }
+  Cfg.SamplesPerBenchmark = 32;
+  Cfg.ShardSize = 4;
+  if (Positional.size() > 3 ||
+      (Positional.size() > 0 &&
+       !parseCount(Positional[0], Cfg.SamplesPerBenchmark)) ||
+      (Positional.size() > 1 && !parseCount(Positional[1], Cfg.ShardSize))) {
+    std::fprintf(stderr, "error: expected [samples-per-benchmark] "
+                         "[shard-size] [cache-dir], counts as integers\n");
+    printUsage(stderr, Argv[0]);
+    return 2;
   }
   // One ledger entry per sweep-shaped section, so the perf trajectory is
   // queryable by the same `ledger compare` machinery the engine uses.
@@ -304,9 +414,6 @@ int main(int Argc, char **Argv) {
     }
     return true;
   };
-  Cfg.SamplesPerBenchmark =
-      Positional.size() > 0 ? std::atoi(Positional[0]) : 32;
-  Cfg.ShardSize = Positional.size() > 1 ? std::atoi(Positional[1]) : 4;
 
   unsigned HW = std::thread::hardware_concurrency();
   if (HW == 0)
@@ -658,6 +765,24 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(BP.Runs),
       BatchIdentical ? "true" : "false");
 
+  TraceProbe TP = runTraceProbe();
+  std::printf("\ntrace arena (loop chain s = s + x, %llu iterations, max "
+              "depth %u):\n"
+              "  %.2f nodes/op (ceiling %.1f), live-node high watermark "
+              "%zu (ceiling %zu), %.0f ns/op\n",
+              static_cast<unsigned long long>(TraceProbe::Iterations),
+              TP.MaxDepth, TP.NodesPerOp, TP.nodesPerOpCeiling(), TP.LiveHigh,
+              TP.liveHighCeiling(), TP.NsPerOp);
+  std::string TraceJson = format(
+      "{\"iterations\":%llu,\"max_depth\":%u,\"nodes_per_op\":%s,"
+      "\"live_high\":%zu,\"ns_per_op\":%s,\"nodes_per_op_ceiling\":%s,"
+      "\"live_high_ceiling\":%zu,\"bounded\":%s}",
+      static_cast<unsigned long long>(TraceProbe::Iterations), TP.MaxDepth,
+      formatDoubleShortest(TP.NodesPerOp).c_str(), TP.LiveHigh,
+      formatDoubleShortest(TP.NsPerOp).c_str(),
+      formatDoubleShortest(TP.nodesPerOpCeiling()).c_str(),
+      TP.liveHighCeiling(), TP.bounded() ? "true" : "false");
+
   // Wire-format probe: both encodings of the corpus batch report
   // document (the top-jobs sweep), sized and timed. The claims: HGB is
   // at least 4x smaller than the JSON bytes on this document, and the
@@ -751,6 +876,7 @@ int main(int Argc, char **Argv) {
       "\"tiered\":%s,"
       "\"batched\":%s,"
       "\"wire\":%s,"
+      "\"trace\":%s,"
       "\"cache\":%s}\n",
       Cfg.SamplesPerBenchmark, Cfg.ShardSize, HW, JobsJson.c_str(),
       formatDoubleShortest(Probe.NativeSeconds).c_str(),
@@ -774,7 +900,8 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.InterpSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
       ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
-      BatchedJson.c_str(), WireSectionJson.c_str(), CacheJson.c_str());
+      BatchedJson.c_str(), WireSectionJson.c_str(), TraceJson.c_str(),
+      CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
   if (Out) {
     Out << Json;
@@ -869,6 +996,16 @@ int main(int Argc, char **Argv) {
                  "FAIL: HGB batch document only %.2fx smaller than JSON "
                  "(%zu vs %zu bytes; expected >= 4x)\n",
                  SizeRatio, WireBin.size(), WireJson.size());
+    return 1;
+  }
+  // The bounded-trace gate: however long a loop runs, the arena must
+  // allocate O(1) nodes per op and hold O(MaxDepth) nodes at once.
+  if (!TP.bounded()) {
+    std::fprintf(stderr,
+                 "FAIL: trace arena unbounded on a loop chain: %.2f "
+                 "nodes/op (ceiling %.1f), %zu live nodes (ceiling %zu)\n",
+                 TP.NodesPerOp, TP.nodesPerOpCeiling(), TP.LiveHigh,
+                 TP.liveHighCeiling());
     return 1;
   }
   return 0;

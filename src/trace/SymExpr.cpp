@@ -100,20 +100,21 @@ std::string SymExpr::fpcoreBody() const {
 // Anti-unification
 //===----------------------------------------------------------------------===//
 
-static std::unique_ptr<SymExpr> symbolizeRec(TraceNode *Trace) {
-  if (Trace->Kind == TraceNode::TNKind::Leaf)
+static std::unique_ptr<SymExpr> symbolizeRec(TraceNode *Trace,
+                                             uint32_t Budget) {
+  if (Trace->leafAt(Budget))
     return SymExpr::makeConst(Trace->Value);
   auto E = SymExpr::makeOp(Trace->Op, Trace->Site);
   for (unsigned I = 0; I < Trace->NumKids; ++I)
-    E->Kids.push_back(symbolizeRec(Trace->Kids[I]));
+    E->Kids.push_back(symbolizeRec(Trace->Kids[I], Budget - 1));
   return E;
 }
 
-std::unique_ptr<SymExpr> herbgrind::symbolize(TraceArena & /*Arena*/,
+std::unique_ptr<SymExpr> herbgrind::symbolize(TraceArena &Arena,
                                               TraceNode *Trace) {
   // First observation: mirror the trace; leaves start out as constants and
   // only become variables once a later execution disagrees with them.
-  return symbolizeRec(Trace);
+  return symbolizeRec(Trace, Arena.rootBudget());
 }
 
 namespace {
@@ -162,9 +163,10 @@ struct Generalizer {
   std::unordered_map<PairKey, uint32_t, PairKeyHash> VarForPair;
   std::unordered_set<uint32_t> ReusedThisRound;
 
-  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T) {
+  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T,
+                                        uint32_t Budget) {
     PairKey Key{symFingerprint(S, Arena.equivDepth()),
-                Arena.fingerprint(T)};
+                Arena.fingerprint(T, Budget)};
     auto It = VarForPair.find(Key);
     uint32_t Idx;
     if (It != VarForPair.end()) {
@@ -189,25 +191,21 @@ struct Generalizer {
     return SymExpr::makeVar(Idx);
   }
 
-  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T) {
-    if (S->Kind == SymExpr::SEKind::Op &&
-        T->Kind == TraceNode::TNKind::Op && S->Op == T->Op &&
+  /// Generalizes \p S against the trace \p T as seen with \p Budget.
+  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T,
+                               uint32_t Budget) {
+    bool TLeaf = T->leafAt(Budget);
+    if (S->Kind == SymExpr::SEKind::Op && !TLeaf && S->Op == T->Op &&
         S->Kids.size() == T->NumKids) {
       auto E = SymExpr::makeOp(S->Op, T->Site);
       for (unsigned I = 0; I < T->NumKids; ++I)
-        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I]));
+        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I], Budget - 1));
       return E;
     }
-    if (S->Kind == SymExpr::SEKind::Const &&
-        T->Kind == TraceNode::TNKind::Leaf &&
+    if (S->Kind == SymExpr::SEKind::Const && TLeaf &&
         bitsOfDouble(S->ConstVal) == bitsOfDouble(T->Value))
       return SymExpr::makeConst(S->ConstVal);
-    if (S->Kind == SymExpr::SEKind::Var &&
-        T->Kind == TraceNode::TNKind::Leaf) {
-      // Plain variable-versus-leaf: the common fast path.
-      return makeVariable(S, T);
-    }
-    return makeVariable(S, T);
+    return makeVariable(S, T, Budget);
   }
 };
 
@@ -221,7 +219,7 @@ herbgrind::antiUnify(TraceArena &Arena, const SymExpr *Expr, TraceNode *Trace,
   if (Promotions)
     Promotions->clear();
   Generalizer G{Arena, NextVarIdx, Bindings, Promotions, {}, {}};
-  return G.gen(Expr, Trace);
+  return G.gen(Expr, Trace, Arena.rootBudget());
 }
 
 //===----------------------------------------------------------------------===//

@@ -76,8 +76,9 @@ struct Promotion {
 };
 
 /// Builds the initial symbolic expression for the first concrete trace seen
-/// at a site: the trace is mirrored with leaves as constants; they only
-/// become variables once a later execution disagrees with them.
+/// at a site: the trace, as seen through the arena's depth budget, is
+/// mirrored with leaves as constants; they only become variables once a
+/// later execution disagrees with them.
 std::unique_ptr<SymExpr> symbolize(TraceArena &Arena, TraceNode *Trace);
 
 /// Incremental anti-unification: most specific generalization of the

@@ -7,50 +7,16 @@
 #include "trace/TraceNode.h"
 
 #include "support/FloatBits.h"
-#include "support/Format.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace herbgrind;
-
-std::string TraceNode::str() const {
-  if (Kind == TNKind::Leaf)
-    return formatDoubleShortest(Value);
-  std::string S = "(";
-  const OpInfo &Info = opInfo(Op);
-  S += Info.FPCoreName ? Info.FPCoreName : Info.Name;
-  for (unsigned I = 0; I < NumKids; ++I) {
-    S += ' ';
-    S += Kids[I]->str();
-  }
-  S += ')';
-  return S;
-}
-
-TraceArena::~TraceArena() { dropTrimCache(); }
-
-void TraceArena::resetForReuse() {
-  dropTrimCache();
-  NodePool.reset();
-}
-
-void TraceArena::dropTrimCache() {
-  // Release the references the trim cache holds -- on the result AND on
-  // the key node (retained so a dead key's pool slot cannot be recycled
-  // into a new node that would alias a stale cache entry). Everything
-  // else must already have been released by the analysis.
-  for (auto &[Key, Node] : TrimCache) {
-    release(const_cast<TraceNode *>(Key.N));
-    release(Node);
-  }
-  TrimCache.clear();
-}
 
 TraceNode *TraceArena::leaf(double Value) {
   TraceNode *N = NodePool.create();
   N->Kind = TraceNode::TNKind::Leaf;
   N->Value = Value;
-  N->Depth = 1;
   N->RefCount = 1;
   return N;
 }
@@ -58,24 +24,6 @@ TraceNode *TraceArena::leaf(double Value) {
 TraceNode *TraceArena::node(Opcode Op, uint32_t Site, double Value,
                             TraceNode *const *Kids, unsigned NumKids) {
   assert(NumKids <= 3 && "too many children");
-  if (MaxDepth <= 1) {
-    // Depth 1: no structure at all beyond the producing op itself; the
-    // paper's "effectively disables symbolic expression tracking" setting
-    // keeps the op node but all children become value leaves.
-    TraceNode *N = NodePool.create();
-    N->Kind = TraceNode::TNKind::Op;
-    N->Op = Op;
-    N->Site = Site;
-    N->Value = Value;
-    N->NumKids = static_cast<uint8_t>(NumKids);
-    N->Depth = NumKids ? 2 : 1;
-    N->RefCount = 1;
-    for (unsigned I = 0; I < NumKids; ++I) {
-      N->Kids[I] = leaf(Kids[I]->Value);
-    }
-    return N;
-  }
-
   TraceNode *N = NodePool.create();
   N->Kind = TraceNode::TNKind::Op;
   N->Op = Op;
@@ -83,54 +31,60 @@ TraceNode *TraceArena::node(Opcode Op, uint32_t Site, double Value,
   N->Value = Value;
   N->NumKids = static_cast<uint8_t>(NumKids);
   N->RefCount = 1;
-  uint32_t Depth = 1;
+  // Readers see a kid through at most rootBudget()-1 levels, so trimming
+  // it to MaxDepth-1 (a leaf at depth 1) hides nothing. Waiting until it
+  // is twice that tall before trimming makes each trim pay for MaxDepth
+  // ops of growth.
+  uint32_t Height = 1;
   for (unsigned I = 0; I < NumKids; ++I) {
     TraceNode *Kid = Kids[I];
-    if (Kid->Depth > MaxDepth - 1)
-      Kid = trim(Kid, MaxDepth - 1); // borrowed from the trim cache
+    if (Kid->Height >= 2 * uint64_t(MaxDepth))
+      Kid = trim(Kid, std::max(MaxDepth - 1, 1u)); // owned by Kids[I]
     retain(Kid);
     N->Kids[I] = Kid;
-    Depth = std::max(Depth, Kid->Depth + 1);
+    Height = std::max(Height, Kid->Height + 1);
   }
-  N->Depth = Depth;
+  N->Height = Height;
+  N->Depth = std::min(Height, rootBudget());
   return N;
 }
 
 TraceNode *TraceArena::trim(TraceNode *N, uint32_t ToDepth) {
   assert(ToDepth >= 1 && "cannot trim below depth 1");
-  if (N->Depth <= ToDepth)
+  if (N->Height <= ToDepth)
     return N;
-  TrimKey Key{N, ToDepth};
-  auto It = TrimCache.find(Key);
-  if (It != TrimCache.end())
-    return It->second;
+  // A trimmed copy is exactly ToDepth tall, so its height names it.
+  for (TraceNode *C = N->Copies; C; C = C->NextCopy)
+    if (C->Height == ToDepth)
+      return C;
 
-  TraceNode *Result;
-  if (ToDepth == 1 || N->Kind == TraceNode::TNKind::Leaf) {
-    Result = leaf(N->Value);
+  TraceNode *Copy;
+  if (ToDepth == 1) {
+    Copy = leaf(N->Value);
   } else {
-    Result = NodePool.create();
-    Result->Kind = TraceNode::TNKind::Op;
-    Result->Op = N->Op;
-    Result->Site = N->Site;
-    Result->Value = N->Value;
-    Result->NumKids = N->NumKids;
-    Result->RefCount = 1;
-    uint32_t Depth = 1;
+    Copy = NodePool.create();
+    Copy->Kind = TraceNode::TNKind::Op;
+    Copy->Op = N->Op;
+    Copy->Site = N->Site;
+    Copy->Value = N->Value;
+    Copy->NumKids = N->NumKids;
+    Copy->RefCount = 1;
+    uint32_t Height = 1;
     for (unsigned I = 0; I < N->NumKids; ++I) {
       TraceNode *Kid = trim(N->Kids[I], ToDepth - 1);
       retain(Kid);
-      Result->Kids[I] = Kid;
-      Depth = std::max(Depth, Kid->Depth + 1);
+      Copy->Kids[I] = Kid;
+      Height = std::max(Height, Kid->Height + 1);
     }
-    Result->Depth = Depth;
+    Copy->Height = Height;
+    assert(Height == ToDepth && "trimmed copy of the wrong height");
   }
-  // The cache keeps the single reference created above (callers borrow)
-  // and retains the key node: entries are looked up by address, so the
-  // key must stay alive or its recycled slot could alias a fresh node.
-  retain(N);
-  TrimCache.emplace(Key, Result);
-  return Result;
+  Copy->Depth = ToDepth;
+  // N keeps the copy's single reference (callers borrow) and releases it
+  // when N dies, so every trim of N to this depth shares one copy.
+  Copy->NextCopy = N->Copies;
+  N->Copies = Copy;
+  return Copy;
 }
 
 void TraceArena::retain(TraceNode *N) {
@@ -140,17 +94,18 @@ void TraceArena::retain(TraceNode *N) {
 
 void TraceArena::release(TraceNode *N) {
   assert(N && "releasing null");
-  // Iterative release to keep deep chains off the C++ stack.
-  std::vector<TraceNode *> Work;
-  Work.push_back(N);
-  while (!Work.empty()) {
-    TraceNode *Cur = Work.back();
-    Work.pop_back();
+  // Iterative release keeps deep chains off the C++ stack.
+  ReleaseStack.push_back(N);
+  while (!ReleaseStack.empty()) {
+    TraceNode *Cur = ReleaseStack.back();
+    ReleaseStack.pop_back();
     assert(Cur->RefCount > 0 && "double release");
     if (--Cur->RefCount > 0)
       continue;
     for (unsigned I = 0; I < Cur->NumKids; ++I)
-      Work.push_back(Cur->Kids[I]);
+      ReleaseStack.push_back(Cur->Kids[I]);
+    for (TraceNode *C = Cur->Copies; C; C = C->NextCopy)
+      ReleaseStack.push_back(C);
     NodePool.destroy(Cur);
   }
 }
@@ -164,50 +119,55 @@ static uint64_t hashMix(uint64_t H, uint64_t X) {
   return H;
 }
 
-uint64_t TraceArena::fingerprintRec(TraceNode *N, uint32_t DepthLeft) {
-  uint64_t H = N->Kind == TraceNode::TNKind::Leaf
-                   ? hashMix(0x1eaf, bitsOfDouble(N->Value))
-                   : hashMix(0x0b5, static_cast<uint64_t>(N->Op));
-  if (N->Kind == TraceNode::TNKind::Op) {
-    if (DepthLeft == 0) {
-      // Below the bounded depth, only the carried value distinguishes.
-      H = hashMix(H, bitsOfDouble(N->Value));
-      return H;
-    }
-    for (unsigned I = 0; I < N->NumKids; ++I)
-      H = hashMix(H, fingerprintRec(N->Kids[I], DepthLeft - 1));
+uint64_t TraceArena::fingerprintRec(TraceNode *N, uint32_t DepthLeft,
+                                    uint32_t Budget) {
+  if (N->leafAt(Budget))
+    return hashMix(0x1eaf, bitsOfDouble(N->Value));
+  uint64_t H = hashMix(0x0b5, static_cast<uint64_t>(N->Op));
+  if (DepthLeft == 0) {
+    // Below the bounded depth, only the carried value distinguishes.
+    return hashMix(H, bitsOfDouble(N->Value));
   }
+  for (unsigned I = 0; I < N->NumKids; ++I)
+    H = hashMix(H, fingerprintRec(N->Kids[I], DepthLeft - 1, Budget - 1));
   return H;
 }
 
-uint64_t TraceArena::fingerprint(TraceNode *N) {
-  if (N->FPValid)
-    return N->CachedFP;
-  N->CachedFP = fingerprintRec(N, EquivDepth);
-  N->FPValid = true;
+uint64_t TraceArena::fingerprint(TraceNode *N, uint32_t Budget) {
+  // The walk reads EquivDepth+1 levels, so a budget of EquivDepth+2 or
+  // more cuts nothing it looks at and one cached value serves every such
+  // position. Closer to the budget floor the cut shows: compute afresh.
+  if (Budget - 1 <= EquivDepth)
+    return fingerprintRec(N, EquivDepth, Budget);
+  if (!N->FPValid) {
+    N->CachedFP = fingerprintRec(N, EquivDepth, Budget);
+    N->FPValid = true;
+  }
   return N->CachedFP;
 }
 
-bool TraceArena::equivalentRec(TraceNode *A, TraceNode *B,
-                               uint32_t DepthLeft) {
+bool TraceArena::equivalentRec(TraceNode *A, TraceNode *B, uint32_t DepthLeft,
+                               uint32_t Budget) {
   if (A == B)
     return true;
-  if (A->Kind != B->Kind)
+  bool ALeaf = A->leafAt(Budget);
+  if (ALeaf != B->leafAt(Budget))
     return false;
-  if (A->Kind == TraceNode::TNKind::Leaf)
+  if (ALeaf)
     return bitsOfDouble(A->Value) == bitsOfDouble(B->Value);
   if (A->Op != B->Op || A->NumKids != B->NumKids)
     return false;
   if (DepthLeft == 0)
     return bitsOfDouble(A->Value) == bitsOfDouble(B->Value);
   for (unsigned I = 0; I < A->NumKids; ++I)
-    if (!equivalentRec(A->Kids[I], B->Kids[I], DepthLeft - 1))
+    if (!equivalentRec(A->Kids[I], B->Kids[I], DepthLeft - 1, Budget - 1))
       return false;
   return true;
 }
 
 bool TraceArena::equivalent(TraceNode *A, TraceNode *B) {
-  if (fingerprint(A) != fingerprint(B))
+  uint32_t Budget = rootBudget();
+  if (fingerprint(A, Budget) != fingerprint(B, Budget))
     return false;
-  return equivalentRec(A, B, EquivDepth);
+  return equivalentRec(A, B, EquivDepth, Budget);
 }
