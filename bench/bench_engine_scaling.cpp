@@ -30,6 +30,10 @@
 // and gates its trace nodes per op and live-node high watermark, which do
 // not depend on the hardware, under fixed ceilings.
 //
+// A kernel probe times the 256-bit shadow-real kernels (ns per call) and
+// gates each against mul (sqrt against div) timed in the same process, so
+// the ceilings are ratios that hold on any machine.
+//
 // Usage: bench_engine_scaling [--json-out FILE] [--ledger-dir DIR]
 //                             [samples-per-benchmark] [shard-size]
 //                             [cache-dir]
@@ -45,6 +49,7 @@
 #include "improve/BatchImprove.h"
 #include "native/Context.h"
 #include "native/Kernel.h"
+#include "real/RealMath.h"
 #include "support/Format.h"
 #include "support/LimbAlloc.h"
 #include "support/Metrics.h"
@@ -57,6 +62,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,6 +329,88 @@ TraceProbe runTraceProbe() {
   Probe.NodesPerOp = static_cast<double>(Arena.totalAllocated()) /
                      static_cast<double>(TraceProbe::Iterations);
   Probe.NsPerOp = 1e9 * Seconds / static_cast<double>(TraceProbe::Iterations);
+  return Probe;
+}
+
+/// Shadow-real kernel probe: ns per call at the default 256-bit precision
+/// on full-mantissa arguments. Each kernel but mul is gated by a ceiling
+/// on its cost relative to a base kernel timed in the same process.
+struct KernelProbe {
+  struct Row {
+    const char *Name;
+    double Ns;
+    const char *Base; ///< Null for mul itself.
+    double Ceiling;   ///< Ceiling on Ns / ns(Base).
+    double ratio(const KernelProbe &P) const { return Ns / P.ns(Base); }
+  };
+  std::vector<Row> Rows;
+
+  double ns(const char *Name) const {
+    for (const Row &R : Rows)
+      if (std::strcmp(R.Name, Name) == 0)
+        return R.Ns;
+    return 0.0;
+  }
+  bool withinCeilings() const {
+    for (const Row &R : Rows)
+      if (R.Base && !(R.ratio(*this) <= R.Ceiling))
+        return false;
+    return !Rows.empty();
+  }
+};
+
+KernelProbe runKernelProbe() {
+  const size_t Prec = 256;
+  Rng R(1414);
+  // Quotients of doubles fill all 256 mantissa bits, like shadow values.
+  auto Full = [&](double Lo, double Hi) {
+    return BigFloat::div(BigFloat::fromDouble(R.uniformReal(Lo, Hi), Prec),
+                         BigFloat::fromDouble(R.uniformReal(1.0, 3.0), Prec));
+  };
+  std::vector<BigFloat> A, B, Pos;
+  for (int I = 0; I < 64; ++I) {
+    A.push_back(Full(-8.0, 8.0));
+    B.push_back(Full(-8.0, 8.0));
+    Pos.push_back(Full(0.5, 8.0));
+  }
+  struct Spec {
+    const char *Name;
+    std::function<BigFloat(size_t)> Fn;
+    const char *Base;
+    double Ceiling;
+  };
+  const Spec Specs[] = {
+      {"mul", [&](size_t I) { return BigFloat::mul(A[I], B[I]); }, nullptr,
+       0.0},
+      {"add", [&](size_t I) { return BigFloat::add(A[I], B[I]); }, "mul", 4},
+      {"div", [&](size_t I) { return BigFloat::div(A[I], Pos[I]); }, "mul",
+       8},
+      {"sqrt", [&](size_t I) { return BigFloat::sqrt(Pos[I]); }, "div", 16},
+      {"exp", [&](size_t I) { return realmath::exp(A[I]); }, "mul", 150},
+      {"log", [&](size_t I) { return realmath::log(Pos[I]); }, "mul", 150},
+      {"sin", [&](size_t I) { return realmath::sin(A[I]); }, "mul", 150},
+      {"atan", [&](size_t I) { return realmath::atan(A[I]); }, "mul", 400},
+      {"pow", [&](size_t I) { return realmath::pow(Pos[I], A[I]); }, "mul",
+       500},
+  };
+  KernelProbe Probe;
+  for (const Spec &S : Specs) {
+    const int Passes = 8;
+    double Best = 1e30;
+    for (int Rep = 0; Rep < 6; ++Rep) { // the first round warms the caches
+      double Seconds = timeIt([&] {
+        for (int P = 0; P < Passes; ++P)
+          for (size_t I = 0; I < A.size(); ++I)
+            if (S.Fn(I).isNaN())
+              std::abort();
+      });
+      if (Rep > 0)
+        Best = std::min(Best, Seconds);
+    }
+    Probe.Rows.push_back(
+        {S.Name, 1e9 * Best / (Passes * static_cast<double>(A.size())),
+         S.Base, S.Ceiling});
+  }
   return Probe;
 }
 
@@ -783,6 +871,31 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(TP.nodesPerOpCeiling()).c_str(),
       TP.liveHighCeiling(), TP.bounded() ? "true" : "false");
 
+  KernelProbe KP = runKernelProbe();
+  std::printf("\nshadow-real kernels (256 bits, ns per call; ratio to base "
+              "kernel, ceiling):\n");
+  std::string KernelNsJson, KernelRatioJson;
+  for (const KernelProbe::Row &Row : KP.Rows) {
+    std::printf("  %-5s %9.0f ns", Row.Name, Row.Ns);
+    if (Row.Base)
+      std::printf("  %6.1fx %-4s (ceiling %gx)", Row.ratio(KP), Row.Base,
+                  Row.Ceiling);
+    std::printf("\n");
+    KernelNsJson += format("%s\"%s\":%s", KernelNsJson.empty() ? "" : ",",
+                           Row.Name, formatDoubleShortest(Row.Ns).c_str());
+    if (Row.Base)
+      KernelRatioJson += format(
+          "%s\"%s/%s\":{\"ratio\":%s,\"ceiling\":%s}",
+          KernelRatioJson.empty() ? "" : ",", Row.Name, Row.Base,
+          formatDoubleShortest(Row.ratio(KP)).c_str(),
+          formatDoubleShortest(Row.Ceiling).c_str());
+  }
+  std::string KernelsJson =
+      format("{\"prec_bits\":256,\"ns\":{%s},\"ratios\":{%s},"
+             "\"within_ceilings\":%s}",
+             KernelNsJson.c_str(), KernelRatioJson.c_str(),
+             KP.withinCeilings() ? "true" : "false");
+
   // Wire-format probe: both encodings of the corpus batch report
   // document (the top-jobs sweep), sized and timed. The claims: HGB is
   // at least 4x smaller than the JSON bytes on this document, and the
@@ -877,6 +990,7 @@ int main(int Argc, char **Argv) {
       "\"batched\":%s,"
       "\"wire\":%s,"
       "\"trace\":%s,"
+      "\"kernels\":%s,"
       "\"cache\":%s}\n",
       Cfg.SamplesPerBenchmark, Cfg.ShardSize, HW, JobsJson.c_str(),
       formatDoubleShortest(Probe.NativeSeconds).c_str(),
@@ -901,7 +1015,7 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
       ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
       BatchedJson.c_str(), WireSectionJson.c_str(), TraceJson.c_str(),
-      CacheJson.c_str());
+      KernelsJson.c_str(), CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
   if (Out) {
     Out << Json;
@@ -1006,6 +1120,16 @@ int main(int Argc, char **Argv) {
                  "nodes/op (ceiling %.1f), %zu live nodes (ceiling %zu)\n",
                  TP.NodesPerOp, TP.nodesPerOpCeiling(), TP.LiveHigh,
                  TP.liveHighCeiling());
+    return 1;
+  }
+  // The kernel gate: each shadow-real kernel must cost at most its
+  // ceiling in units of mul (sqrt in units of div).
+  if (!KP.withinCeilings()) {
+    for (const KernelProbe::Row &Row : KP.Rows)
+      if (Row.Base && !(Row.ratio(KP) <= Row.Ceiling))
+        std::fprintf(stderr,
+                     "FAIL: %s costs %.1fx %s (ceiling %gx): %.0f ns\n",
+                     Row.Name, Row.ratio(KP), Row.Base, Row.Ceiling, Row.Ns);
     return 1;
   }
   return 0;

@@ -53,8 +53,11 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -68,6 +71,37 @@
 using namespace herbgrind;
 using namespace herbgrind::engine;
 using namespace herbgrind::fpcore;
+
+/// Parses a numeric flag value: the whole string must be a base-10 integer
+/// in [Lo, Hi]. Anything else prints an error naming the flag and exits 2.
+static long long parseIntFlag(const char *Flag, const char *V, long long Lo,
+                              long long Hi) {
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(V, &End, 10);
+  if (!*V || std::isspace(static_cast<unsigned char>(*V)) || *End ||
+      errno == ERANGE || N < Lo || N > Hi) {
+    std::fprintf(stderr, "error: %s wants an integer in [%lld, %lld], got "
+                         "'%s'\n",
+                 Flag, Lo, Hi, V);
+    std::exit(2);
+  }
+  return N;
+}
+
+/// The floating-point counterpart: a whole finite number >= Lo.
+static double parseRealFlag(const char *Flag, const char *V, double Lo) {
+  char *End = nullptr;
+  errno = 0;
+  double X = std::strtod(V, &End);
+  if (!*V || std::isspace(static_cast<unsigned char>(*V)) || *End ||
+      errno == ERANGE || !std::isfinite(X) || X < Lo) {
+    std::fprintf(stderr, "error: %s wants a number >= %g, got '%s'\n", Flag,
+                 Lo, V);
+    std::exit(2);
+  }
+  return X;
+}
 
 static int usage(const char *Prog) {
   std::fprintf(
@@ -793,7 +827,7 @@ static int ledgerMain(int Argc, char **Argv) {
     auto NextDouble = [&](double &Out) {
       if (I + 1 >= Argc)
         return false;
-      Out = std::atof(Argv[++I]);
+      Out = parseRealFlag(Arg, Argv[++I], 0.0);
       return true;
     };
     if (std::strcmp(Arg, "--wall-frac") == 0) {
@@ -811,9 +845,11 @@ static int ledgerMain(int Argc, char **Argv) {
     } else if (std::strcmp(Arg, "--heap-slack") == 0) {
       if (I + 1 >= Argc)
         return usage(Argv[0]);
-      Thresholds.HeapSlack = std::strtoull(Argv[++I], nullptr, 10);
+      Thresholds.HeapSlack = static_cast<uint64_t>(
+          parseIntFlag(Arg, Argv[++I], 0, INT64_MAX));
     } else if (std::isdigit(static_cast<unsigned char>(Arg[0]))) {
-      Indices.push_back(static_cast<size_t>(std::strtoull(Arg, nullptr, 10)));
+      Indices.push_back(static_cast<size_t>(
+          parseIntFlag("ledger entry index", Arg, 0, INT64_MAX)));
     } else {
       return usage(Argv[0]);
     }
@@ -964,37 +1000,37 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      int Jobs = std::atoi(V);
-      if (Jobs < 0) {
-        std::fprintf(stderr, "error: --jobs must be >= 0 (0 = auto)\n");
-        return 2;
-      }
-      Cfg.Jobs = static_cast<unsigned>(Jobs);
+      Cfg.Jobs = static_cast<unsigned>(parseIntFlag(Arg, V, 0, 1024));
     } else if (std::strcmp(Arg, "--samples") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      Cfg.SamplesPerBenchmark = std::atoi(V);
+      Cfg.SamplesPerBenchmark =
+          static_cast<int>(parseIntFlag(Arg, V, 1, INT32_MAX));
     } else if (std::strcmp(Arg, "--shard") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      Cfg.ShardSize = std::atoi(V);
+      Cfg.ShardSize = static_cast<int>(parseIntFlag(Arg, V, 1, INT32_MAX));
     } else if (std::strcmp(Arg, "--batch") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      int Lanes = std::atoi(V);
-      if (Lanes < 1) {
-        std::fprintf(stderr, "error: --batch must be >= 1\n");
-        return 2;
-      }
-      Cfg.BatchLanes = static_cast<unsigned>(Lanes);
+      Cfg.BatchLanes = static_cast<unsigned>(parseIntFlag(Arg, V, 1, 4096));
     } else if (std::strcmp(Arg, "--seed") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      Cfg.Seed = std::strtoull(V, nullptr, 0);
+      char *End = nullptr;
+      errno = 0;
+      Cfg.Seed = std::strtoull(V, &End, 0);
+      if (!std::isdigit(static_cast<unsigned char>(*V)) || *End ||
+          errno == ERANGE) {
+        std::fprintf(stderr, "error: --seed wants an unsigned 64-bit "
+                             "integer, got '%s'\n",
+                     V);
+        return 2;
+      }
     } else if (std::strcmp(Arg, "--tier") == 0) {
       const char *V = NextValue();
       if (!V)
@@ -1078,11 +1114,8 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      BCfg.Improve.SampleCount = std::atoi(V);
-      if (BCfg.Improve.SampleCount < 1) {
-        std::fprintf(stderr, "error: --improve-samples must be >= 1\n");
-        return 2;
-      }
+      BCfg.Improve.SampleCount =
+          static_cast<int>(parseIntFlag(Arg, V, 1, INT32_MAX));
     } else if (std::strcmp(Arg, "--name") == 0) {
       const char *V = NextValue();
       if (!V)
@@ -1127,19 +1160,15 @@ int main(int Argc, char **Argv) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      int P = std::atoi(V);
-      if (P < 1) {
-        std::fprintf(stderr, "error: --profile-period must be >= 1\n");
-        return 2;
-      }
-      ProfilePeriod = static_cast<uint32_t>(P);
+      ProfilePeriod =
+          static_cast<uint32_t>(parseIntFlag(Arg, V, 1, UINT32_MAX));
     } else if (std::strcmp(Arg, "--progress") == 0) {
       Progress = true;
     } else if (std::strcmp(Arg, "--progress-every") == 0) {
       const char *V = NextValue();
       if (!V)
         return usage(Argv[0]);
-      ProgressEvery = std::atof(V);
+      ProgressEvery = parseRealFlag(Arg, V, 0.0);
       if (!(ProgressEvery > 0.0)) {
         std::fprintf(stderr, "error: --progress-every must be > 0 seconds\n");
         return 2;

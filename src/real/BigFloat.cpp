@@ -30,6 +30,7 @@
 #include <cstring>
 
 using namespace herbgrind;
+using namespace herbgrind::mpn;
 
 static size_t GlobalDefaultPrecisionBits = 256;
 
@@ -61,7 +62,7 @@ static int leadingZeros64(uint64_t X) {
   return __builtin_clzll(X);
 }
 
-static bool vecIsZero(const uint64_t *V, size_t N) {
+bool herbgrind::mpn::vecIsZero(const uint64_t *V, size_t N) {
   for (size_t I = 0; I < N; ++I)
     if (V[I] != 0)
       return false;
@@ -77,8 +78,8 @@ static int cmpVec(const uint64_t *A, const uint64_t *B, size_t N) {
   return 0;
 }
 
-/// A += B (equal lengths); returns the carry out.
-static uint64_t addVecInPlace(uint64_t *A, const uint64_t *B, size_t N) {
+uint64_t herbgrind::mpn::addVecInPlace(uint64_t *A, const uint64_t *B,
+                                       size_t N) {
   unsigned __int128 Carry = 0;
   for (size_t I = 0; I < N; ++I) {
     unsigned __int128 Sum = (unsigned __int128)A[I] + B[I] + Carry;
@@ -88,8 +89,8 @@ static uint64_t addVecInPlace(uint64_t *A, const uint64_t *B, size_t N) {
   return static_cast<uint64_t>(Carry);
 }
 
-/// A -= B (equal lengths, requires A >= B).
-static void subVecInPlace(uint64_t *A, const uint64_t *B, size_t N) {
+void herbgrind::mpn::subVecInPlace(uint64_t *A, const uint64_t *B,
+                                   size_t N) {
   unsigned __int128 Borrow = 0;
   for (size_t I = 0; I < N; ++I) {
     unsigned __int128 Diff = (unsigned __int128)A[I] - B[I] - Borrow;
@@ -109,20 +110,6 @@ static void decrementVec(uint64_t *A, size_t N) {
   assert(false && "decrementVec underflow");
 }
 
-/// Adds 1 at bit position Pos (must not overflow the vector).
-static void addBitAt(uint64_t *A, size_t N, size_t Pos) {
-  size_t LimbIdx = Pos / 64;
-  assert(LimbIdx < N && "addBitAt position out of range");
-  uint64_t Old = A[LimbIdx];
-  A[LimbIdx] += 1ULL << (Pos % 64);
-  bool Carry = A[LimbIdx] < Old;
-  for (size_t I = LimbIdx + 1; Carry && I < N; ++I) {
-    ++A[I];
-    Carry = A[I] == 0;
-  }
-  assert(!Carry && "addBitAt overflowed the vector");
-}
-
 /// Reads bit Pos of A (0 = least significant).
 static bool getBit(const uint64_t *A, size_t N, size_t Pos) {
   size_t LimbIdx = Pos / 64;
@@ -131,9 +118,8 @@ static bool getBit(const uint64_t *A, size_t N, size_t Pos) {
   return (A[LimbIdx] >> (Pos % 64)) & 1;
 }
 
-/// Shifts A right by Shift bits in place; ORs dropped nonzero bits into
-/// Sticky.
-static void shiftRightVec(uint64_t *A, size_t N, size_t Shift, bool &Sticky) {
+void herbgrind::mpn::shiftRightVec(uint64_t *A, size_t N, size_t Shift,
+                                   bool &Sticky) {
   size_t LimbShift = Shift / 64;
   size_t BitShift = Shift % 64;
   if (LimbShift >= N) {
@@ -162,9 +148,7 @@ static void shiftRightVec(uint64_t *A, size_t N, size_t Shift, bool &Sticky) {
   std::memset(A + (N - LimbShift), 0, LimbShift * sizeof(uint64_t));
 }
 
-/// Shifts A left by Shift bits in place (bits shifted past the top are
-/// dropped; callers guarantee they are zero).
-static void shiftLeftVec(uint64_t *A, size_t N, size_t Shift) {
+void herbgrind::mpn::shiftLeftVec(uint64_t *A, size_t N, size_t Shift) {
   size_t LimbShift = Shift / 64;
   size_t BitShift = Shift % 64;
   if (LimbShift >= N) {
@@ -234,7 +218,7 @@ static void divmodVec(uint64_t *U, size_t NU, const uint64_t *V, size_t NV,
     unsigned __int128 Num =
         ((unsigned __int128)R[J + NV] << 64) | R[J + NV - 1];
     unsigned __int128 QHat = Num / V[NV - 1];
-    unsigned __int128 RHat = Num % V[NV - 1];
+    unsigned __int128 RHat = Num - QHat * V[NV - 1];
     // Correct QHat down until it is a valid 64-bit digit estimate.
     while (QHat >> 64 ||
            QHat * V[NV - 2] > ((RHat << 64) | R[J + NV - 2])) {
@@ -1031,53 +1015,52 @@ void BigFloat::sqrtInto(BigFloat &Dst, const BigFloat &X) {
   }
 
   size_t N = X.Limbs.size();
-  // Normalize to an even exponent: value = F * 2^E with E even and
-  // F in [1/4, 1).
+  // Integer square root of Num = F * 2^(64*NI) read as a 2*NI-limb
+  // integer, where F is the mantissa plus one low guard limb, shifted right
+  // one bit when the exponent is odd so that E is even. Its root has NI
+  // limbs with the top bit set: the mantissa plus a guard limb.
+  size_t NI = N + 1;
   int64_t E = X.Exp;
-  Scratch F; // one extra low guard limb for the odd-exponent shift
-  F.assignZeros(N + 1);
-  std::memcpy(F.data() + 1, X.Limbs.data(), N * sizeof(uint64_t));
+  Scratch Num;
+  Num.assignZeros(2 * NI);
+  std::memcpy(Num.data() + NI + 1, X.Limbs.data(), N * sizeof(uint64_t));
   if (E & 1) {
     bool Dummy = false;
-    shiftRightVec(F.data(), N + 1, 1, Dummy);
+    shiftRightVec(Num.data() + NI, NI, 1, Dummy);
     assert(!Dummy && "guard limb absorbed the shift");
     E += 1;
   }
 
-  // Integer square root of Num = F * 2^(64*(N+1)) interpreted as an integer
-  // of 2*(N+1) limbs. Result S = floor(sqrt(F')) has N+1 limbs with the top
-  // bit set, i.e. exactly the mantissa-plus-guard-limb we want.
-  size_t NI = N + 1;
-  Scratch Num;
-  Num.assignZeros(2 * NI);
-  std::memcpy(Num.data() + NI, F.data(), NI * sizeof(uint64_t));
-
-  // Classic bit-pair integer square root.
-  Scratch Rem;
-  Rem.assignZeros(2 * NI);
-  Scratch Root;
-  Root.assignZeros(2 * NI);
-  Scratch Trial;
-  Trial.assignZeros(2 * NI);
-  for (size_t I = NI * 64; I-- > 0;) {
-    // Rem = Rem*4 + next two bits of Num.
-    shiftLeftVec(Rem.data(), 2 * NI, 2);
-    if (getBit(Num.data(), 2 * NI, 2 * I + 1))
-      addBitAt(Rem.data(), 2 * NI, 1);
-    if (getBit(Num.data(), 2 * NI, 2 * I))
-      addBitAt(Rem.data(), 2 * NI, 0);
-    // Trial = Root*4 + 1 (Root currently holds the partial root shifted so
-    // its low bit is at position 0).
-    std::memcpy(Trial.data(), Root.data(), 2 * NI * sizeof(uint64_t));
-    shiftLeftVec(Trial.data(), 2 * NI, 2);
-    addBitAt(Trial.data(), 2 * NI, 0);
-    shiftLeftVec(Root.data(), 2 * NI, 1);
-    if (cmpVec(Rem.data(), Trial.data(), 2 * NI) >= 0) {
-      subVecInPlace(Rem.data(), Trial.data(), 2 * NI);
-      addBitAt(Root.data(), 2 * NI, 0);
+  // Newton from above: Root' = (Root + Num/Root) / 2 falls strictly until
+  // Root = floor(sqrt(Num)), where first Num/Root >= Root. The seed
+  // overestimates sqrt(Num) < sqrt(T+1) * 2^(64(NI-1)), T the top 128 bits,
+  // by a few units of its top limb.
+  Scratch Root, Q, U, RS;
+  Root.assignZeros(NI);
+  unsigned __int128 T =
+      (unsigned __int128)Num[2 * NI - 1] << 64 | Num[2 * NI - 2];
+  double Seed = std::sqrt(static_cast<double>(T)) * (1 + 0x1p-50) + 1;
+  if (Seed >= 0x1p64)
+    std::memset(Root.data(), 0xff, NI * sizeof(uint64_t));
+  else
+    Root[NI - 1] = static_cast<uint64_t>(Seed);
+  Q.assignZeros(NI + 1);
+  RS.assignZeros(2 * NI + 1);
+  bool Sticky = false;
+  for (;;) {
+    U.assignCopy(Num.data(), 2 * NI);
+    divmodVec(U.data(), 2 * NI, Root.data(), NI, Q.data(), RS.data());
+    int QCmp = Q[NI] ? 1 : cmpVec(Q.data(), Root.data(), NI);
+    if (QCmp >= 0) {
+      // Num = Q*Root + U is Root^2 exactly iff Q == Root and U == 0.
+      Sticky = QCmp > 0 || !vecIsZero(U.data(), 2 * NI);
+      break;
     }
+    uint64_t Carry = addVecInPlace(Root.data(), Q.data(), NI);
+    bool Dropped = false;
+    shiftRightVec(Root.data(), NI, 1, Dropped);
+    Root[NI - 1] |= Carry << 63;
   }
-  bool Sticky = !vecIsZero(Rem.data(), 2 * NI);
   assert((Root[NI - 1] >> 63) == 1 && "isqrt result not normalized");
   BigFloatBuilder::normalizeAndRoundInto(Dst, false, E / 2, Root.data(), NI,
                                          Sticky, N);

@@ -18,9 +18,8 @@
 /// allocates per value; wider precisions spill to a per-thread recycled
 /// block cache (support/LimbAlloc.h). Every binary operation also has a
 /// destination-passing variant (`addInto(Dst, A, B)` etc.); these are
-/// alias-safe (Dst may be A and/or B) and reuse Dst's spilled capacity,
-/// which is what makes the transcendental series loops in RealMath.cpp
-/// allocation-free in steady state.
+/// alias-safe (Dst may be A and/or B) and reuse Dst's spilled capacity, so
+/// the shadow hot path is allocation-free in steady state.
 ///
 /// Core operations (add, sub, mul, div, sqrt, conversions to double/float)
 /// are correctly rounded to the result precision under round-to-nearest-even.
@@ -236,6 +235,21 @@ public:
   static size_t limbCount(const BigFloat &X) { return X.Limbs.size(); }
   static int64_t rawExp(const BigFloat &X) { return X.Exp; }
 };
+
+/// mpn-style kernels on little-endian limb vectors, shared with the
+/// fixed-point series core in RealMath.cpp.
+namespace mpn {
+/// True when all N limbs of V are zero.
+bool vecIsZero(const uint64_t *V, size_t N);
+/// A += B (equal lengths); returns the carry out.
+uint64_t addVecInPlace(uint64_t *A, const uint64_t *B, size_t N);
+/// A -= B (equal lengths, requires A >= B).
+void subVecInPlace(uint64_t *A, const uint64_t *B, size_t N);
+/// A >>= Shift; ORs the dropped nonzero bits into Sticky.
+void shiftRightVec(uint64_t *A, size_t N, size_t Shift, bool &Sticky);
+/// A <<= Shift (the bits shifted past the top must be zero).
+void shiftLeftVec(uint64_t *A, size_t N, size_t Shift);
+} // namespace mpn
 
 } // namespace herbgrind
 

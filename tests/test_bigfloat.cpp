@@ -21,9 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <vector>
 
 using namespace herbgrind;
 
@@ -636,4 +638,125 @@ TEST(BigFloat, DefaultPrecisionControl) {
   BigFloat::setDefaultPrecisionBits(512);
   EXPECT_EQ(BigFloat::fromDouble(1.0).precisionBits(), 512u);
   BigFloat::setDefaultPrecisionBits(Old);
+}
+
+//===----------------------------------------------------------------------===//
+// Square root against the bit-pair oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The classic bit-pair integer square root that sqrtInto once ran, kept
+/// as an independent oracle for the Newton iteration. Finite X > 0 only.
+BigFloat bitPairSqrt(const BigFloat &X) {
+  size_t N = BigFloatBuilder::limbCount(X);
+  size_t NI = N + 1;
+  int64_t E = BigFloatBuilder::rawExp(X);
+  std::vector<uint64_t> Num(2 * NI, 0);
+  std::copy(BigFloatBuilder::limbs(X), BigFloatBuilder::limbs(X) + N,
+            Num.begin() + NI + 1);
+  if (E & 1) {
+    bool Dummy = false;
+    mpn::shiftRightVec(Num.data() + NI, NI, 1, Dummy);
+    E += 1;
+  }
+  auto Bit = [&](size_t Pos) { return (Num[Pos / 64] >> (Pos % 64)) & 1; };
+  std::vector<uint64_t> Rem(2 * NI, 0), Root(2 * NI, 0), Trial(2 * NI, 0);
+  for (size_t I = NI * 64; I-- > 0;) {
+    mpn::shiftLeftVec(Rem.data(), 2 * NI, 2);
+    Rem[0] |= Bit(2 * I + 1) << 1 | Bit(2 * I);
+    Trial = Root;
+    mpn::shiftLeftVec(Trial.data(), 2 * NI, 2);
+    Trial[0] |= 1;
+    mpn::shiftLeftVec(Root.data(), 2 * NI, 1);
+    if (!std::lexicographical_compare(Rem.rbegin(), Rem.rend(),
+                                      Trial.rbegin(), Trial.rend())) {
+      mpn::subVecInPlace(Rem.data(), Trial.data(), 2 * NI);
+      Root[0] |= 1;
+    }
+  }
+  bool Sticky = std::any_of(Rem.begin(), Rem.end(),
+                            [](uint64_t L) { return L != 0; });
+  BigFloat R;
+  BigFloatBuilder::normalizeAndRoundInto(R, false, E / 2, Root.data(), NI,
+                                         Sticky, N);
+  return R;
+}
+
+/// A positive value with the given mantissa limbs (top bit forced set).
+BigFloat fromLimbs(std::vector<uint64_t> M, int64_t Exp) {
+  M.back() |= 1ULL << 63;
+  BigFloat R;
+  BigFloatBuilder::makeRoundedInto(R, false, Exp, M.data(), M.size(), false,
+                                   M.size());
+  return R;
+}
+
+bool sameBits(const BigFloat &A, const BigFloat &B) {
+  return A.debugStr() == B.debugStr();
+}
+
+/// One ulp of a finite value at its own precision.
+BigFloat ulpOf(const BigFloat &X) {
+  return BigFloat::scalb(BigFloat::fromInt64(1, X.precisionBits()),
+                         X.exponent() - static_cast<int64_t>(
+                                            X.precisionBits()));
+}
+
+class SqrtOracleTest : public ::testing::TestWithParam<size_t> {};
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Precisions, SqrtOracleTest,
+                         ::testing::Values(64, 128, 192, 256, 320, 384, 512,
+                                           1024));
+
+TEST_P(SqrtOracleTest, NewtonMatchesBitPairOracle) {
+  size_t Prec = GetParam();
+  size_t N = Prec / 64;
+  Rng R(701 + Prec);
+  std::vector<BigFloat> Cases;
+  for (int I = 0; I < 300; ++I) {
+    // Random full mantissas at odd and even exponents.
+    std::vector<uint64_t> M(N);
+    for (uint64_t &L : M)
+      L = R.next();
+    Cases.push_back(fromLimbs(M, static_cast<int64_t>(R.nextBelow(400)) -
+                                     200));
+    // Exact squares of half-width roots and their one-ulp neighbours.
+    std::vector<uint64_t> H(N, 0);
+    for (size_t J = N - N / 2; J < N; ++J)
+      H[J] = R.next();
+    if (N == 1)
+      H[0] = R.next() & ~0xffffffffULL;
+    BigFloat Root = fromLimbs(H, static_cast<int64_t>(R.nextBelow(64)) - 32);
+    BigFloat Sq = BigFloat::mul(Root, Root);
+    ASSERT_TRUE(sameBits(BigFloat::mulExact(Root, Root).withPrecision(Prec),
+                         Sq));
+    Cases.push_back(Sq);
+    Cases.push_back(BigFloat::add(Sq, ulpOf(Sq)));
+    Cases.push_back(BigFloat::sub(Sq, ulpOf(Sq)));
+  }
+  for (int64_t Exp : {-3, -2, 0, 1, 2, 7}) {
+    Cases.push_back(fromLimbs(std::vector<uint64_t>(N, ~0ULL), Exp));
+    Cases.push_back(BigFloat::scalb(BigFloat::fromInt64(1, Prec), Exp));
+  }
+  for (const BigFloat &X : Cases) {
+    BigFloat Want = bitPairSqrt(X);
+    BigFloat Got = BigFloat::sqrt(X);
+    ASSERT_TRUE(sameBits(Got, Want))
+        << "sqrt(" << X.debugStr() << ") = " << Got.debugStr() << " vs "
+        << Want.debugStr();
+    BigFloat Aliased = X;
+    BigFloat::sqrtInto(Aliased, Aliased);
+    ASSERT_TRUE(sameBits(Aliased, Want)) << X.debugStr();
+    // Exact residual: (S - ulp/2)^2 < X < (S + ulp/2)^2.
+    BigFloat Half = BigFloat::scalb(ulpOf(Got), -1);
+    BigFloat Lo = BigFloat::sub(Got.withPrecision(Prec + 64), Half);
+    BigFloat Hi = BigFloat::add(Got.withPrecision(Prec + 64), Half);
+    EXPECT_LT(BigFloat::cmp(BigFloat::mulExact(Lo, Lo), X), 0)
+        << X.debugStr();
+    EXPECT_GT(BigFloat::cmp(BigFloat::mulExact(Hi, Hi), X), 0)
+        << X.debugStr();
+  }
 }

@@ -4,21 +4,31 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Oracle: glibc's libm, which is faithful (mostly correctly rounded) for the
-// functions under test. BigFloat at 256 bits rounded to double must land
-// within a couple of ulps of libm; for most inputs it should be bit-equal.
+// Oracles:
+//  * glibc's libm, which is faithful (mostly correctly rounded) for the
+//    functions under test. BigFloat at 256 bits rounded to double must land
+//    within a couple of ulps of libm; for most inputs it should be bit-equal.
+//  * The BigFloat-accumulator series kernels the fixed-point core replaced
+//    (RealMathReference.h): 256-bit results must be bit-identical.
+//  * The same kernel at 512 bits: the 256-bit result must equal it rounded
+//    to 256 bits, or lie within one ulp of it.
 //
 //===----------------------------------------------------------------------===//
 
+#include "RealMathReference.h"
 #include "real/RealMath.h"
 
 #include "support/FloatBits.h"
+#include "support/LimbAlloc.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
 using namespace herbgrind;
 
@@ -360,4 +370,235 @@ TEST(RealMath, TinyArgumentsKeepRelativeAccuracy) {
               std::expm1(X))
         << X;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Exact oracles: the series-loop reference and the 512-bit kernel
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using BinaryReal = BigFloat (*)(const BigFloat &, const BigFloat &);
+
+/// One kernel under test, its series-loop reference, and an argument
+/// generator (the second argument is ignored by unary kernels).
+struct Kernel {
+  const char *Name;
+  std::function<BigFloat(const BigFloat &, const BigFloat &)> Ours, Ref;
+  std::function<std::pair<double, double>(Rng &)> Args;
+};
+
+/// Uniform over [Lo, Hi] three times in four, else uniform over the
+/// doubles' bit patterns in it (which reaches every magnitude).
+double draw(Rng &R, double Lo, double Hi) {
+  return R.nextBelow(4) ? R.uniformReal(Lo, Hi) : R.betweenOrdinals(Lo, Hi);
+}
+
+Kernel unary(const char *Name, UnaryReal Ours, UnaryReal Ref, double Lo,
+             double Hi) {
+  return {Name, [Ours](const BigFloat &X, const BigFloat &) { return Ours(X); },
+          [Ref](const BigFloat &X, const BigFloat &) { return Ref(X); },
+          [Lo, Hi](Rng &R) { return std::make_pair(draw(R, Lo, Hi), 0.0); }};
+}
+
+Kernel binary(const char *Name, BinaryReal Ours, BinaryReal Ref, double XLo,
+              double XHi, double YLo, double YHi) {
+  return {Name, Ours, Ref, [=](Rng &R) {
+            return std::make_pair(draw(R, XLo, XHi), draw(R, YLo, YHi));
+          }};
+}
+
+std::vector<Kernel> kernels() {
+  using namespace realmath;
+  namespace ref = seriesref;
+  return {
+      unary("exp", exp, ref::exp, -700, 700),
+      unary("exp2", exp2, ref::exp2, -1000, 1000),
+      unary("expm1", expm1, ref::expm1, -50, 50),
+      unary("log", log, ref::log, 1e-300, 1e300),
+      unary("log2", log2, ref::log2, 1e-300, 1e300),
+      unary("log10", log10, ref::log10, 1e-300, 1e300),
+      unary("log1p", log1p, ref::log1p, -0.999, 1e10),
+      unary("sin", sin, ref::sin, -100, 100),
+      unary("cos", cos, ref::cos, -100, 100),
+      unary("tan", tan, ref::tan, -100, 100),
+      unary("asin", asin, ref::asin, -1, 1),
+      unary("acos", acos, ref::acos, -1, 1),
+      unary("atan", atan, ref::atan, -1e10, 1e10),
+      unary("sinh", sinh, ref::sinh, -700, 700),
+      unary("cosh", cosh, ref::cosh, -700, 700),
+      unary("tanh", tanh, ref::tanh, -50, 50),
+      unary("cbrt", cbrt, ref::cbrt, -1e300, 1e300),
+      binary("atan2", atan2, ref::atan2, -10, 10, -10, 10),
+      binary("pow", pow, ref::pow, 1e-3, 1e3, -60, 60),
+      binary("hypot", hypot, ref::hypot, -1e10, 1e10, -1e10, 1e10),
+  };
+}
+
+/// D at \p Prec bits with its bits below the double's filled at random, as
+/// in a shadow value that has been through arithmetic.
+BigFloat fullWidth(double D, Rng &R, size_t Prec) {
+  BigFloat X = BigFloat::fromDouble(D, Prec);
+  if (X.isZero())
+    return X;
+  BigFloat Noise = BigFloat::fromInt64(0, Prec);
+  for (size_t I = 1; I < Prec / 64; ++I)
+    Noise = BigFloat::add(
+        Noise, BigFloat::fromMantissaExp(false, R.next(),
+                                         X.exponent() - 53 - 64 * I, Prec));
+  return BigFloat::add(X, X.isNegative() ? Noise.negated() : Noise);
+}
+
+/// The arguments every kernel is checked on: the kernel's random range,
+/// half as doubles and half full-width, plus shared edge cases.
+std::vector<std::pair<BigFloat, BigFloat>> argumentsFor(const Kernel &K,
+                                                        int Count,
+                                                        size_t Prec) {
+  Rng R(4242);
+  std::vector<std::pair<BigFloat, BigFloat>> Out;
+  for (int I = 0; I < Count; ++I) {
+    auto [X, Y] = K.Args(R);
+    if (I & 1)
+      Out.emplace_back(fullWidth(X, R, Prec), fullWidth(Y, R, Prec));
+    else
+      Out.emplace_back(BigFloat::fromDouble(X, Prec),
+                       BigFloat::fromDouble(Y, Prec));
+  }
+  std::vector<double> Edges = {1.0, -1.0, 0.5, 2.0, 1e-20, -1e-20, 1e-300,
+                               5e-324, 0x1p-600, 1e22, -1e300, 1e300, 709.78,
+                               -745.1, 0x1p49, -0x1p49, 0x1p51};
+  // Near 1, for log and log1p.
+  for (double D : {0x1p-52, 0x1p-30, 0x1p-8})
+    for (double S : {1.0, -1.0})
+      Edges.push_back(1 + S * D);
+  // Near multiples of pi/2, and their double neighbours.
+  for (int M = 1; M <= 64; M *= 2) {
+    double Near = M * M_PI / 2;
+    Edges.insert(Edges.end(), {Near, std::nextafter(Near, 0.0),
+                               std::nextafter(Near, 1e300), -Near});
+  }
+  for (double X : Edges)
+    for (double Y : {0.5, -3.0, 7.25})
+      Out.emplace_back(BigFloat::fromDouble(X, Prec),
+                       BigFloat::fromDouble(Y, Prec));
+  // Tiny full-width and exactly-one-ulp-from-one arguments.
+  BigFloat One = BigFloat::fromInt64(1, Prec);
+  BigFloat Ulp = BigFloat::scalb(One, -static_cast<int64_t>(Prec));
+  Out.emplace_back(BigFloat::add(One, Ulp), One);
+  Out.emplace_back(BigFloat::sub(One, BigFloat::scalb(Ulp, -1)), One);
+  Out.emplace_back(BigFloat::scalb(fullWidth(0.7, R, Prec), -400), One);
+  return Out;
+}
+
+bool sameBits(const BigFloat &A, const BigFloat &B) {
+  return A.debugStr() == B.debugStr();
+}
+
+/// True when A and B are identical or finite and at most one ulp of A's
+/// precision apart.
+bool withinOneUlp(const BigFloat &A, const BigFloat &B) {
+  if (sameBits(A, B) || (A.isNaN() && B.isNaN()))
+    return true;
+  if (A.isZero() || B.isZero() || !A.isFinite() || !B.isFinite())
+    return false;
+  BigFloat Diff = BigFloat::sub(A.withPrecision(A.precisionBits() + 64),
+                                B.withPrecision(A.precisionBits() + 64));
+  return Diff.isZero() ||
+         Diff.exponent() <=
+             A.exponent() - static_cast<int64_t>(A.precisionBits()) + 1;
+}
+
+std::string show(const std::pair<BigFloat, BigFloat> &A) {
+  return A.first.debugStr() + ", " + A.second.debugStr();
+}
+
+} // namespace
+
+TEST(RealMathOracle, BitIdenticalToSeriesLoopReference) {
+  for (const Kernel &K : kernels()) {
+    int Mismatches = 0;
+    for (const auto &A : argumentsFor(K, 2000, 256)) {
+      BigFloat Got = K.Ours(A.first, A.second);
+      BigFloat Want = K.Ref(A.first, A.second);
+      if (!sameBits(Got, Want) && ++Mismatches <= 3)
+        ADD_FAILURE() << K.Name << "(" << show(A) << ") = " << Got.debugStr()
+                      << ", reference " << Want.debugStr();
+    }
+    EXPECT_EQ(Mismatches, 0) << K.Name;
+  }
+}
+
+TEST(RealMathOracle, AgreesWithItselfAtTwicePrecision) {
+  for (const Kernel &K : kernels()) {
+    for (const auto &A : argumentsFor(K, 500, 256)) {
+      BigFloat Got = K.Ours(A.first, A.second);
+      BigFloat Wide = K.Ours(A.first.withPrecision(512),
+                             A.second.withPrecision(512));
+      BigFloat Rounded = Wide.isFinite() ? Wide.withPrecision(256) : Wide;
+      EXPECT_TRUE(withinOneUlp(Got, Rounded))
+          << K.Name << "(" << show(A) << ") = " << Got.debugStr()
+          << ", at 512 bits " << Wide.debugStr();
+    }
+  }
+}
+
+TEST(RealMathOracle, ExpInvertsLog) {
+  Rng R(4343);
+  for (int I = 0; I < 500; ++I) {
+    BigFloat X = fullWidth(R.betweenOrdinals(1e-300, 1e300), R, 256);
+    BigFloat Back =
+        realmath::exp(realmath::log(X.withPrecision(512))).withPrecision(256);
+    EXPECT_TRUE(withinOneUlp(X, Back)) << X.debugStr();
+    BigFloat Small = fullWidth(R.uniformReal(-0.4, 0.4), R, 256);
+    BigFloat Back1p = realmath::expm1(realmath::log1p(Small.withPrecision(512)))
+                          .withPrecision(256);
+    EXPECT_TRUE(withinOneUlp(Small, Back1p)) << Small.debugStr();
+  }
+}
+
+TEST(RealMathOracle, NarrowAndWidePrecisions) {
+  // 64 bits is narrower than any scratch; 4096 bits spills every scratch
+  // buffer to the limb cache. Both must agree with a wider evaluation.
+  for (const Kernel &K : kernels()) {
+    for (const auto &A : argumentsFor(K, 6, 64)) {
+      BigFloat Narrow = K.Ours(A.first, A.second);
+      BigFloat Wide = K.Ours(A.first.withPrecision(256),
+                             A.second.withPrecision(256));
+      EXPECT_TRUE(withinOneUlp(Narrow,
+                               Wide.isFinite() ? Wide.withPrecision(64) : Wide))
+          << K.Name << "(" << show(A) << ") at 64 bits";
+    }
+    Rng R(4444);
+    for (int I = 0; I < 3; ++I) {
+      auto [X, Y] = K.Args(R);
+      BigFloat X2 = fullWidth(X, R, 2048), Y2 = fullWidth(Y, R, 2048);
+      BigFloat Half = K.Ours(X2, Y2);
+      BigFloat Huge = K.Ours(X2.withPrecision(4096), Y2.withPrecision(4096));
+      EXPECT_EQ(Huge.precisionBits(), 4096u) << K.Name;
+      EXPECT_TRUE(withinOneUlp(
+          Half, Huge.isFinite() ? Huge.withPrecision(2048) : Huge))
+          << K.Name << "(" << X << ", " << Y << ") at 2048 and 4096 bits";
+    }
+  }
+}
+
+TEST(RealMathOracle, SteadyStateKernelsAreAllocationFree) {
+  std::vector<Kernel> Ks = kernels();
+  auto Round = [&] {
+    for (const Kernel &K : Ks)
+      for (const auto &A : argumentsFor(K, 20, 256))
+        K.Ours(A.first, A.second);
+  };
+  Round(); // warm-up: fills the constant caches and the limb cache
+  limballoc::resetCounters();
+  Round();
+  EXPECT_EQ(limballoc::heapAllocs(), 0u)
+      << "steady-state 256-bit kernels reached the heap";
+}
+
+TEST(RealMathOracle, TrigBeyondReductionCapIsNaN) {
+  BigFloat Huge = BigFloat::scalb(BigFloat::fromInt64(3, 256), 1 << 21);
+  EXPECT_TRUE(realmath::sin(Huge).isNaN());
+  EXPECT_TRUE(realmath::cos(Huge).isNaN());
+  EXPECT_TRUE(realmath::tan(Huge).isNaN());
 }
