@@ -62,7 +62,7 @@ static bool computeSkippable(const Statement &S,
 
 /// A float op the generic shadowStep handles through its final "plain
 /// scalar float op" branch: single-lane, no bit tricks, no lane shuffling.
-/// These are the ops the batched real kernel can take over wholesale.
+/// These are the ops the struct-of-arrays tier-0 runner can evaluate.
 static bool isPlainScalarFloatOp(Opcode Op) {
   const OpInfo &Info = opInfo(Op);
   if (!Info.IsFloatOp || Info.IsComparison || Info.IsSIMD)
@@ -91,51 +91,41 @@ Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
   for (const Statement &S : Prog.statements())
     Skippable.push_back(computeSkippable(S, TempTypes));
 
-  // Batchability (computed once, like Skippable). Lockstep needs the
-  // program straight-line over temps only: every lane then visits the
-  // identical statement sequence, which is what makes the per-record event
-  // order -- lanes ascending at each pc -- equal to the sequential order.
-  // The SoA tier additionally needs every value to be a scalar F64 moved
-  // by plain float ops, so temps can live in contiguous double lanes.
-  BatchableLockstep = true;
+  // SoA batchability (computed once, like Skippable). The program must be
+  // straight-line over temps only, so every lane visits the identical
+  // statement sequence and the per-lane verdicts equal the sequential
+  // ones; every value must be a scalar F64 moved by plain float ops, so
+  // temps can live in contiguous double lanes.
   BatchableSoA = true;
-  BatchFastOp.reserve(Prog.size());
   for (const Statement &S : Prog.statements()) {
-    bool FastOp = S.Kind == StmtKind::Op && isPlainScalarFloatOp(S.Op);
-    BatchFastOp.push_back(FastOp);
     switch (S.Kind) {
     case StmtKind::Input:
     case StmtKind::Halt:
       break;
     case StmtKind::Const:
-      if (S.Literal.Ty != ValueType::F64)
-        BatchableSoA = false;
+      BatchableSoA &= S.Literal.Ty == ValueType::F64;
       break;
     case StmtKind::Copy:
-      if (TempTypes[S.Dst] != ValueType::F64 ||
-          TempTypes[S.Args[0]] != ValueType::F64)
-        BatchableSoA = false;
+      BatchableSoA &= TempTypes[S.Dst] == ValueType::F64 &&
+                      TempTypes[S.Args[0]] == ValueType::F64;
       break;
     case StmtKind::Out:
-      if (TempTypes[S.Args[0]] != ValueType::F64)
-        BatchableSoA = false;
+      BatchableSoA &= TempTypes[S.Args[0]] == ValueType::F64;
       break;
     case StmtKind::Op: {
       const OpInfo &Info = opInfo(S.Op);
-      if (!FastOp || Info.ResultTy != ValueType::F64 ||
-          Info.OperandTy != ValueType::F64)
-        BatchableSoA = false;
+      BatchableSoA &= isPlainScalarFloatOp(S.Op) &&
+                      Info.ResultTy == ValueType::F64 &&
+                      Info.OperandTy == ValueType::F64;
       break;
     }
     default:
       // Control flow, memory, or thread-state traffic: lanes could
-      // diverge or collide in the shared shadow tables.
-      BatchableLockstep = false;
+      // diverge or collide.
       BatchableSoA = false;
       break;
     }
   }
-  BatchableSoA = BatchableSoA && BatchableLockstep;
   // One shadow state serves every run: runOnInput resets it in place, so
   // its value pool and memory-table buckets are reused run over run.
   Shadow = std::make_unique<ShadowState>(Arena, Sets, Prog.numTemps(),
@@ -250,125 +240,16 @@ void Herbgrind::runOnInput(const std::vector<double> &Inputs) {
 void Herbgrind::runOnBatch(const std::vector<double> *Inputs,
                            size_t NumLanes) {
   LaneSuspects.assign(NumLanes, 0);
-  if (NumLanes == 0)
-    return;
-  if (NumLanes == 1 || !BatchableLockstep) {
-    // Sequential fallback: the batched API's semantics *is* this loop.
-    for (size_t L = 0; L < NumLanes; ++L) {
-      runOnInput(Inputs[L]);
-      LaneSuspects[L] = RunSuspect;
-    }
-    return;
-  }
-  if (Cfg.PredicateOnly && BatchableSoA)
+  if (NumLanes > 1 && Cfg.PredicateOnly && BatchableSoA) {
     runPredicateBatchSoA(Inputs, NumLanes);
-  else
-    runBatchLockstep(Inputs, NumLanes);
-}
-
-void Herbgrind::runBatchLockstep(const std::vector<double> *Inputs,
-                                 size_t NumLanes) {
-  // One concrete machine per lane; one shared shadow state with a temp
-  // table per lane. The program is straight-line (lockstepBatchable), so
-  // every lane executes the identical statement sequence and each record
-  // sees its lanes in ascending order -- the same per-record event
-  // sequence as sequential runs, which is what keeps reports
-  // byte-identical.
-  std::vector<MachineState> States;
-  States.reserve(NumLanes);
-  for (size_t L = 0; L < NumLanes; ++L)
-    States.emplace_back(Prog, Inputs[L]);
-  Shadow->reset();
-  Shadow->beginBatch(static_cast<unsigned>(NumLanes));
-  RunSuspect = false;
-
-  const bool Profiled = opprof::enabled();
-  bool Running = true;
-  while (Running && States[0].Steps < Cfg.MaxSteps) {
-    uint32_t PC = States[0].PC;
-    const Statement &S = Prog.stmt(PC);
-    if (Cfg.UseTypeAnalysis && Skippable[PC]) {
-      Skipped += NumLanes;
-      for (size_t L = 0; L < NumLanes; ++L)
-        Running = stepConcrete(Prog, States[L]);
-      continue;
-    }
-    if (!Cfg.PredicateOnly && BatchFastOp[PC] && !Profiled) {
-      // The amortized path: one record lookup, one batched real kernel.
-      // While the profiler samples, fall through to the generic per-lane
-      // path instead so cost attribution keeps covering real evaluation.
-      Running = shadowFloatBatchStep(S, PC, States, NumLanes);
-      continue;
-    }
-    for (size_t L = 0; L < NumLanes; ++L) {
-      Shadow->selectLane(static_cast<unsigned>(L));
-      RunSuspect = LaneSuspects[L] != 0;
-      Value Args[3];
-      for (unsigned I = 0; I < S.NumArgs; ++I)
-        Args[I] = States[L].Temps[S.Args[I]];
-      Running = stepConcrete(Prog, States[L]);
-      shadowStep(S, PC, Args, States[L]);
-      LaneSuspects[L] = RunSuspect;
-    }
+    return;
   }
-  Shadow->selectLane(0);
-  for (size_t L = 0; L < NumLanes; ++L)
-    TotalSteps += States[L].Steps;
-  RunSuspect = LaneSuspects[NumLanes - 1] != 0;
-  LastOutputs = std::move(States[NumLanes - 1].Outputs);
-}
-
-bool Herbgrind::shadowFloatBatchStep(const Statement &S, uint32_t PC,
-                                     std::vector<MachineState> &States,
-                                     size_t NumLanes) {
-  const unsigned NumArgs = S.NumArgs;
-  // Capture concrete operands, then step every lane concretely (the
-  // destination may alias an operand).
-  BatchArgVals.resize(NumLanes * 3);
-  bool Running = true;
+  // Everything else runs the scalar loop: the batched API's semantics *is*
+  // this loop.
   for (size_t L = 0; L < NumLanes; ++L) {
-    for (unsigned I = 0; I < NumArgs; ++I)
-      BatchArgVals[L * 3 + I] = States[L].Temps[S.Args[I]];
-    Running = stepConcrete(Prog, States[L]);
+    runOnInput(Inputs[L]);
+    LaneSuspects[L] = RunSuspect;
   }
-  ShadowOps += NumLanes;
-
-  OpRecord &Rec = Ops[PC];
-  if (Rec.Executions == 0) {
-    Rec.Op = S.Op;
-    Rec.Loc = S.Loc;
-  }
-
-  // Phase A: lazily shadow the operands of every lane and copy their reals
-  // into one contiguous lane-major workspace.
-  BatchArgSV.resize(NumLanes * 3);
-  BatchReals.resize(NumLanes * 3);
-  BatchResults.resize(NumLanes);
-  for (size_t L = 0; L < NumLanes; ++L) {
-    Shadow->selectLane(static_cast<unsigned>(L));
-    for (unsigned I = 0; I < NumArgs; ++I) {
-      ShadowValue *SV = lazyShadow(S.Args[I], 0, BatchArgVals[L * 3 + I],
-                                   BatchArgVals[L * 3 + I].Ty);
-      BatchArgSV[L * 3 + I] = SV;
-      BatchReals[L * 3 + I] = SV->Real;
-    }
-  }
-
-  // Phase B: the batched real kernel strides over the workspace's inline
-  // limbs, one destination-passing evaluation per lane.
-  evalRealOpIntoBatch(BatchResults.data(), S.Op, BatchReals.data(), 3,
-                      NumArgs, NumLanes);
-
-  // Phase C: per-lane bookkeeping on the already-computed real, lanes
-  // ascending so the record sees the sequential event order.
-  for (size_t L = 0; L < NumLanes; ++L) {
-    Shadow->selectLane(static_cast<unsigned>(L));
-    ShadowValue *Out = shadowScalarOpCoreWithReal(
-        Cfg, *Shadow, Rec, S.Op, PC, &BatchArgSV[L * 3], &BatchArgVals[L * 3],
-        NumArgs, States[L].Temps[S.Dst], std::move(BatchResults[L]));
-    Shadow->setTempLane(S.Dst, 0, Out);
-  }
-  return Running;
 }
 
 void Herbgrind::runPredicateBatchSoA(const std::vector<double> *Inputs,
@@ -791,28 +672,13 @@ ShadowValue *herbgrind::shadowScalarOpCore(
 
   // [[.]]_R: the op over the reals, destination-passing straight into the
   // value the result shadow will own. The argument reals are copied into a
-  // contiguous array first (evalRealOpInto wants one); the batched path
-  // amortizes exactly this staging across a whole lane workspace.
+  // contiguous array first (evalRealOpInto wants one).
   BigFloat Reals[3];
   for (unsigned I = 0; I < NumArgs; ++I)
     Reals[I] = ArgSV[I]->Real;
   BigFloat RealResult;
   evalRealOpInto(RealResult, Op, Reals, NumArgs);
 
-  ShadowValue *Result = shadowScalarOpCoreWithReal(
-      Cfg, Shadow, Rec, Op, PC, ArgSV, ArgConcrete, NumArgs, ConcreteResult,
-      std::move(RealResult));
-  if (ProfThis)
-    opprof::recordSample(Rec, metrics::nowNanos() - ProfT0,
-                         limballoc::heapAllocs() - ProfHeap0,
-                         limballoc::cacheHits() - ProfHits0);
-  return Result;
-}
-
-ShadowValue *herbgrind::shadowScalarOpCoreWithReal(
-    const AnalysisConfig &Cfg, ShadowState &Shadow, OpRecord &Rec, Opcode Op,
-    uint32_t PC, ShadowValue *const *ArgSV, const Value *ArgConcrete,
-    unsigned NumArgs, const Value &ConcreteResult, BigFloat &&RealResult) {
   const OpInfo &Info = opInfo(Op);
   ValueType ResultTy = Info.ResultTy;
   TraceArena &Arena = Shadow.arena();
@@ -929,7 +795,13 @@ ShadowValue *herbgrind::shadowScalarOpCoreWithReal(
   }
 
   // The result shadow (create consumes the trace reference).
-  return Shadow.create(std::move(RealResult), Trace, Infl, ResultTy);
+  ShadowValue *Result =
+      Shadow.create(std::move(RealResult), Trace, Infl, ResultTy);
+  if (ProfThis)
+    opprof::recordSample(Rec, metrics::nowNanos() - ProfT0,
+                         limballoc::heapAllocs() - ProfHeap0,
+                         limballoc::cacheHits() - ProfHits0);
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

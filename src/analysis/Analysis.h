@@ -178,24 +178,6 @@ ShadowValue *shadowScalarOpCore(const AnalysisConfig &Cfg, ShadowState &Shadow,
                                 const Value *ArgConcrete, unsigned NumArgs,
                                 const Value &ConcreteResult);
 
-/// The tail of shadowScalarOpCore for callers that already evaluated the
-/// op over the reals: takes ownership of \p RealResult and performs
-/// everything after the real evaluation (local error, compensation,
-/// influences, trace, record update). The batched hot path uses this to
-/// amortize the real evaluation across a lane-major workspace
-/// (evalRealOpIntoBatch) and then run the bookkeeping per lane. Argument
-/// reals are read through \p ArgSV, which must still hold the values the
-/// real evaluation consumed. Carries no profiler bracket: profiled
-/// executions go through shadowScalarOpCore.
-ShadowValue *shadowScalarOpCoreWithReal(const AnalysisConfig &Cfg,
-                                        ShadowState &Shadow, OpRecord &Rec,
-                                        Opcode Op, uint32_t PC,
-                                        ShadowValue *const *ArgSV,
-                                        const Value *ArgConcrete,
-                                        unsigned NumArgs,
-                                        const Value &ConcreteResult,
-                                        BigFloat &&RealResult);
-
 /// One comparison-spot observation: evaluates the predicate over the reals
 /// (unshadowed arguments fall back to their concrete bits) and folds
 /// agreement or divergence into \p Spot, whose Kind/Loc/Executions the
@@ -247,13 +229,12 @@ public:
   /// Runs the program on \p NumLanes sample points at once (Inputs[L] is
   /// lane L's input tuple). Accumulated records, outputs, and suspect
   /// verdicts are byte-for-byte what NumLanes sequential runOnInput calls
-  /// would have produced; when the program's shape allows it, the lanes
-  /// execute in lockstep so per-op record lookups, trace bookkeeping, and
-  /// the real-number kernels are amortized across the batch (and tier-0
-  /// predicate runs drop to a struct-of-arrays double pipeline with no
-  /// shadow-value allocation at all). Per-lane tier-0 verdicts land in
-  /// laneSuspects(); lastRunSuspect()/lastOutputs() describe the final
-  /// lane, exactly as if it had been the last sequential run.
+  /// would have produced. Tier-0 predicate runs of an soaBatchable()
+  /// program drop to a struct-of-arrays double pipeline with no
+  /// shadow-value allocation at all; every other run is that sequential
+  /// loop. Per-lane tier-0 verdicts land in laneSuspects();
+  /// lastRunSuspect()/lastOutputs() describe the final lane, exactly as if
+  /// it had been the last sequential run.
   void runOnBatch(const std::vector<double> *Inputs, size_t NumLanes);
 
   /// Per-lane tier-0 suspect verdicts of the most recent runOnBatch (all
@@ -261,13 +242,10 @@ public:
   const std::vector<uint8_t> &laneSuspects() const { return LaneSuspects; }
 
   /// True when the program is straight-line over temps only (no control
-  /// flow, no memory or thread-state traffic), so runOnBatch can run its
-  /// lanes in lockstep instead of falling back to sequential runs.
-  bool lockstepBatchable() const { return BatchableLockstep; }
-
-  /// True when, additionally, every value is a scalar F64 and every op a
-  /// plain scalar float op: tier-0 batches then use the vectorizable
-  /// struct-of-arrays pipeline (contiguous Conc/Delta/Noise lanes).
+  /// flow, no memory or thread-state traffic), every value is a scalar F64
+  /// and every op a plain scalar float op: tier-0 batches then use the
+  /// vectorizable struct-of-arrays pipeline (contiguous Conc/Delta/Noise
+  /// lanes).
   bool soaBatchable() const { return BatchableSoA; }
 
   /// Clears every accumulated record and all shadow state, returning the
@@ -314,11 +292,7 @@ public:
 
 private:
   struct StepContext;
-  void runBatchLockstep(const std::vector<double> *Inputs, size_t NumLanes);
   void runPredicateBatchSoA(const std::vector<double> *Inputs,
-                            size_t NumLanes);
-  bool shadowFloatBatchStep(const Statement &S, uint32_t PC,
-                            std::vector<MachineState> &States,
                             size_t NumLanes);
   void shadowStep(const Statement &S, uint32_t PC, const Value *Args,
                   MachineState &State);
@@ -344,21 +318,13 @@ private:
   std::unique_ptr<ShadowState> Shadow;
   std::vector<ValueType> TempTypes;
   std::vector<bool> Skippable;
-  /// Per-pc: a plain scalar float op eligible for the batched real-kernel
-  /// fast path (precomputed alongside Skippable).
-  std::vector<uint8_t> BatchFastOp;
-  bool BatchableLockstep = false;
   bool BatchableSoA = false;
   std::map<uint32_t, OpRecord> Ops;
   std::map<uint32_t, SpotRecord> Spots;
   std::vector<Value> LastOutputs;
   std::vector<uint8_t> LaneSuspects;
-  /// \name Batch scratch (sized on demand, reused batch over batch).
+  /// \name SoA tier-0 scratch (sized on demand, reused batch over batch).
   /// @{
-  std::vector<Value> BatchArgVals;
-  std::vector<ShadowValue *> BatchArgSV;
-  std::vector<BigFloat> BatchReals;   ///< Lane-major argument workspace.
-  std::vector<BigFloat> BatchResults; ///< Per-lane real results.
   std::vector<double> SoAConc, SoADelta, SoANoise; ///< [Temp*Lanes+lane]
   std::vector<uint8_t> SoAHas;
   /// @}

@@ -25,6 +25,7 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 
 using namespace herbgrind;
 using namespace herbgrind::engine;
@@ -584,11 +585,10 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 /// it, and caller-owned kernel vectors outlive it); the RunId in the
 /// cache makes a recycled address harmless even if worker threads ever
 /// outlive a run. One thread_local cache exists per analyzer type.
-template <typename Analyzer, typename MakeFn, typename RunOneFn,
-          typename RunBatchFn>
+template <typename Analyzer, typename MakeFn, typename RunOneFn>
 static AnalysisResult
 analyzeShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
-                        RunOneFn RunOne, RunBatchFn RunBatch, unsigned Lanes,
+                        RunOneFn RunOne,
                         const std::vector<std::vector<double>> &Inputs,
                         size_t Begin, size_t End) {
   struct Worker {
@@ -604,17 +604,8 @@ analyzeShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
     W.Run = RunId;
     W.Key = Key;
   }
-  if (Lanes <= 1) {
-    for (size_t I = Begin; I < End; ++I)
-      RunOne(*W.A, Inputs[I]);
-  } else {
-    // Batched hot path: the frontend guarantees records byte-identical
-    // to the scalar loop at every lane count (the per-lane verdicts are
-    // irrelevant here -- full analysis records everything).
-    std::vector<uint8_t> Suspects;
-    for (size_t I = Begin; I < End; I += Lanes)
-      RunBatch(*W.A, &Inputs[I], std::min<size_t>(Lanes, End - I), Suspects);
-  }
+  for (size_t I = Begin; I < End; ++I)
+    RunOne(*W.A, Inputs[I]);
   return W.A->snapshot();
 }
 
@@ -623,14 +614,14 @@ analyzeShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
 /// verdict. Each call site instantiates its own thread_local cache (the
 /// Make/RunOne lambda types are part of the template identity), so a
 /// tier-0 analyzer can never be mistaken for a full one even under the
-/// same (RunId, Key).
-template <typename Analyzer, typename MakeFn, typename RunOneFn,
-          typename RunBatchFn>
+/// same (RunId, Key). \p Lanes above 1 hands whole batches to
+/// Herbgrind::runOnBatch; native kernels always run one point at a time.
+template <typename Analyzer, typename MakeFn, typename RunOneFn>
 static Tier0Outcome
 tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
-                      RunOneFn RunOne, RunBatchFn RunBatch, unsigned Lanes,
+                      RunOneFn RunOne,
                       const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End) {
+                      size_t Begin, size_t End, unsigned Lanes = 1) {
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
@@ -655,15 +646,15 @@ tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
         break; // One suspect run settles the shard's verdict.
       }
     }
-  } else {
+  } else if constexpr (std::is_same_v<Analyzer, Herbgrind>) {
     // Batched: verdicts scan in lane order and Runs counts scanned lanes,
     // so the suspect verdict and run accounting match the scalar loop's
     // early break exactly. The batch may have *executed* lanes past the
     // first suspect one -- Ops is informational and may exceed scalar's.
-    std::vector<uint8_t> Suspects;
     for (size_t I = Begin; I < End && !Out.Suspect; I += Lanes) {
       size_t N = std::min<size_t>(Lanes, End - I);
-      RunBatch(*W.A, &Inputs[I], N, Suspects);
+      W.A->runOnBatch(&Inputs[I], N);
+      const std::vector<uint8_t> &Suspects = W.A->laneSuspects();
       for (size_t L = 0; L < N; ++L) {
         ++Out.Runs;
         if (Suspects[L]) {
@@ -684,13 +675,12 @@ tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
 /// accumulate in sampling order, so fast-tier sweeps stay byte-identical
 /// across worker counts like everything else in the engine.
 template <typename Analyzer, typename MakeT0Fn, typename MakeFullFn,
-          typename RunOneFn, typename RunBatchFn>
+          typename RunOneFn>
 static FastOutcome
 fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
-                     MakeFullFn MakeFull, RunOneFn RunOne, RunBatchFn RunBatch,
-                     unsigned Lanes,
+                     MakeFullFn MakeFull, RunOneFn RunOne,
                      const std::vector<std::vector<double>> &Inputs,
-                     size_t Begin, size_t End) {
+                     size_t Begin, size_t End, unsigned Lanes = 1) {
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
@@ -718,15 +708,15 @@ fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
         ++Out.EscalatedRuns;
       }
     }
-  } else {
+  } else if constexpr (std::is_same_v<Analyzer, Herbgrind>) {
     // Batched: tier 0 sweeps whole batches, then suspect lanes escalate
     // scalar in ascending lane order. Per-lane verdicts are independent
     // of batching, so the full analyzer sees exactly the scalar loop's
     // escalation sequence and its records stay byte-identical.
-    std::vector<uint8_t> Suspects;
     for (size_t I = Begin; I < End; I += Lanes) {
       size_t N = std::min<size_t>(Lanes, End - I);
-      RunBatch(*W.T0, &Inputs[I], N, Suspects);
+      W.T0->runOnBatch(&Inputs[I], N);
+      const std::vector<uint8_t> &Suspects = W.T0->laneSuspects();
       Out.Tier0Runs += N;
       for (size_t L = 0; L < N; ++L)
         if (Suspects[L]) {
@@ -741,7 +731,8 @@ fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
 }
 
 /// Wraps one FPCore core as a sweep source: analysis runs a worker-local
-/// Herbgrind instance over the compiled program.
+/// Herbgrind instance over the compiled program. \p Lanes batches the
+/// tier-0 runs of the confirm and fast tiers.
 static SweepSource coreSource(const fpcore::Core &C,
                               fpcore::ProgramCache &Cache,
                               const AnalysisConfig &ACfg, unsigned Lanes) {
@@ -755,40 +746,35 @@ static SweepSource coreSource(const fpcore::Core &C,
   auto RunOne = [](Herbgrind &HG, const std::vector<double> &In) {
     HG.runOnInput(In);
   };
-  auto RunBatch = [](Herbgrind &HG, const std::vector<double> *Tuples,
-                     size_t N, std::vector<uint8_t> &Suspects) {
-    HG.runOnBatch(Tuples, N);
-    Suspects = HG.laneSuspects();
-  };
-  Src.AnalyzeShard = [&C, &Cache, &ACfg, RunOne, RunBatch, Lanes](
+  Src.AnalyzeShard = [&C, &Cache, &ACfg, RunOne](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
                          size_t Begin, size_t End) {
     const Program &P = Cache.get(C);
     return analyzeShardWorkerLocal<Herbgrind>(
         RunId, &P, [&] { return std::make_unique<Herbgrind>(P, ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+        RunOne, Inputs, Begin, End);
   };
   AnalysisConfig PCfg = ACfg;
   PCfg.PredicateOnly = true;
-  Src.Tier0Shard = [&C, &Cache, PCfg, RunOne, RunBatch, Lanes](
+  Src.Tier0Shard = [&C, &Cache, PCfg, RunOne, Lanes](
                        uint64_t RunId,
                        const std::vector<std::vector<double>> &Inputs,
                        size_t Begin, size_t End) {
     const Program &P = Cache.get(C);
     return tier0ShardWorkerLocal<Herbgrind>(
         RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+        RunOne, Inputs, Begin, End, Lanes);
   };
-  Src.FastShard = [&C, &Cache, &ACfg, PCfg, RunOne, RunBatch, Lanes](
+  Src.FastShard = [&C, &Cache, &ACfg, PCfg, RunOne, Lanes](
                       uint64_t RunId,
                       const std::vector<std::vector<double>> &Inputs,
                       size_t Begin, size_t End) {
     const Program &P = Cache.get(C);
     return fastShardWorkerLocal<Herbgrind>(
         RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
-        [&] { return std::make_unique<Herbgrind>(P, ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+        [&] { return std::make_unique<Herbgrind>(P, ACfg); }, RunOne, Inputs,
+        Begin, End, Lanes);
   };
   return Src;
 }
@@ -798,7 +784,7 @@ static SweepSource coreSource(const fpcore::Core &C,
 /// content-hashed op identities are what keep this mergeable and cacheable
 /// exactly like the interpreter path.
 static SweepSource kernelSource(const native::Kernel &K,
-                                const AnalysisConfig &ACfg, unsigned Lanes) {
+                                const AnalysisConfig &ACfg) {
   SweepSource Src;
   Src.Name = K.Name;
   for (const native::Kernel::InputRange &R : K.Inputs)
@@ -807,36 +793,32 @@ static SweepSource kernelSource(const native::Kernel &K,
   auto RunOne = [&K](native::Context &C, const std::vector<double> &In) {
     C.run(K, In);
   };
-  auto RunBatch = [&K](native::Context &C, const std::vector<double> *Tuples,
-                       size_t N, std::vector<uint8_t> &Suspects) {
-    C.runBatch(K, Tuples, N, &Suspects);
-  };
-  Src.AnalyzeShard = [&ACfg, RunOne, RunBatch, Lanes, &K](
+  Src.AnalyzeShard = [&ACfg, RunOne, &K](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
                          size_t Begin, size_t End) {
     return analyzeShardWorkerLocal<native::Context>(
         RunId, &K, [&] { return std::make_unique<native::Context>(ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+        RunOne, Inputs, Begin, End);
   };
   AnalysisConfig PCfg = ACfg;
   PCfg.PredicateOnly = true;
-  Src.Tier0Shard = [PCfg, RunOne, RunBatch, Lanes, &K](
+  Src.Tier0Shard = [PCfg, RunOne, &K](
                        uint64_t RunId,
                        const std::vector<std::vector<double>> &Inputs,
                        size_t Begin, size_t End) {
     return tier0ShardWorkerLocal<native::Context>(
         RunId, &K, [&] { return std::make_unique<native::Context>(PCfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+        RunOne, Inputs, Begin, End);
   };
-  Src.FastShard = [&ACfg, PCfg, RunOne, RunBatch, Lanes, &K](
+  Src.FastShard = [&ACfg, PCfg, RunOne, &K](
                       uint64_t RunId,
                       const std::vector<std::vector<double>> &Inputs,
                       size_t Begin, size_t End) {
     return fastShardWorkerLocal<native::Context>(
         RunId, &K, [&] { return std::make_unique<native::Context>(PCfg); },
-        [&] { return std::make_unique<native::Context>(ACfg); },
-        RunOne, RunBatch, Lanes, Inputs, Begin, End);
+        [&] { return std::make_unique<native::Context>(ACfg); }, RunOne,
+        Inputs, Begin, End);
   };
   return Src;
 }
@@ -857,7 +839,7 @@ BatchResult Engine::run(const std::vector<fpcore::Core> &Cores,
   for (const fpcore::Core &C : Cores)
     Sources.push_back(coreSource(C, Cache, Cfg.Analysis, Cfg.BatchLanes));
   for (const native::Kernel &K : Kernels)
-    Sources.push_back(kernelSource(K, Cfg.Analysis, Cfg.BatchLanes));
+    Sources.push_back(kernelSource(K, Cfg.Analysis));
   BatchResult Out = runSweepImpl(Cfg, RC.get(), Sources);
   Out.Stats.CacheHits = Cache.hits() - CacheHits0;
   Out.Stats.CacheMisses = Cache.misses() - CacheMisses0;

@@ -115,12 +115,15 @@ struct EngineConfig {
   /// full sweep's report.
   size_t ShardBegin = 0;
   size_t ShardEnd = std::numeric_limits<size_t>::max();
-  /// Sample points each batched analyzer call processes at once (the SoA
-  /// hot path; docs/ARCHITECTURE.md, "Batched evaluation"). 1 runs the
-  /// scalar point-at-a-time loops unchanged. Purely a scheduling knob --
-  /// reports are byte-identical at every lane count, so like Jobs it is
-  /// deliberately absent from the config hash and batched sweeps share
-  /// scalar sweeps' caches.
+  /// Sample points each tier-0 analyzer call processes at once
+  /// (docs/ARCHITECTURE.md, "Batched evaluation"). It only affects the
+  /// tier-0 runs of FPCore benchmarks, in the confirm and fast tiers: a
+  /// straight-line all-F64 program then runs its lanes through the
+  /// struct-of-arrays predicate pipeline. Full-shadow runs and native
+  /// kernels always run the scalar point-at-a-time loop. Purely a
+  /// scheduling knob -- reports are byte-identical at every lane count, so
+  /// like Jobs it is deliberately absent from the config hash and batched
+  /// sweeps share scalar sweeps' caches.
   unsigned BatchLanes = 1;
   /// Wire encoding for documents this sweep WRITES (cache stores and
   /// emitted shards): JSON or compact HGB binary. Readers always sniff,

@@ -31,16 +31,6 @@ using RealEnv = std::map<std::string, BigFloat>;
 double evalDouble(const Expr &E, const DoubleEnv &Env,
                   uint64_t MaxLoopIters = 1'000'000);
 
-/// Evaluates \p E over \p NumLanes sample environments at once, writing
-/// lane L's result to Out[L]. Results are bit-identical to NumLanes
-/// sequential evalDouble calls: arithmetic nodes evaluate lane-by-lane
-/// over contiguous per-node scratch (one operator dispatch per node
-/// instead of one per node per point), while If/Let/While subtrees --
-/// whose control flow or bindings can diverge per lane -- fall back to
-/// scalar evaluation of that subtree per lane.
-void evalDoubleBatch(const Expr &E, const DoubleEnv *Envs, size_t NumLanes,
-                     double *Out, uint64_t MaxLoopIters = 1'000'000);
-
 /// Evaluates over BigFloat reals at \p PrecBits.
 BigFloat evalReal(const Expr &E, const RealEnv &Env, size_t PrecBits = 256,
                   uint64_t MaxLoopIters = 1'000'000);

@@ -246,6 +246,7 @@ private:
 
   const std::string &Text;
   size_t Pos = 0;
+  int Depth = 0; ///< parseExpr frames open, capped at MaxExprNesting
 };
 
 bool isNumber(const std::string &Tok, double &Out) {
@@ -280,6 +281,14 @@ bool isConstName(const std::string &Tok) {
 }
 
 ExprPtr Parser::parseExpr() {
+  struct DepthGuard {
+    int &D;
+    ~DepthGuard() { --D; }
+  } Guard{++Depth};
+  if (Depth > MaxExprNesting) {
+    fail("expression nested deeper than " + std::to_string(MaxExprNesting));
+    return nullptr;
+  }
   std::string Tok = next();
   if (!Error.empty())
     return nullptr;

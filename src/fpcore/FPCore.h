@@ -80,6 +80,13 @@ struct ParseResult {
   std::string Error;
 };
 
+/// Deepest expression nesting the parser accepts (a bare leaf is depth 1;
+/// each enclosing form adds one). The corpus nests at most 13 deep; the
+/// cap keeps every recursive walk of a parsed tree -- the parser, clone,
+/// print, compile, and the evaluators -- far from the stack limit on
+/// hostile input, which fails with a parse error instead.
+constexpr int MaxExprNesting = 512;
+
 /// Parses one (FPCore ...) form.
 ParseResult parse(const std::string &Text);
 

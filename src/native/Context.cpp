@@ -311,37 +311,6 @@ void Context::run(const Kernel &K, const std::vector<double> &Vals) {
   run(K, Vals.data(), Vals.size());
 }
 
-void Context::runBatch(const Kernel &K, const std::vector<double> *Tuples,
-                       size_t NumLanes, std::vector<uint8_t> *Suspects) {
-  // One span, one activation frame, one unknown-location slot lookup for
-  // the whole batch; everything that decides record *content* -- the
-  // per-lane location reset, the per-lane suspect flag, the per-lane
-  // input binding -- still happens per invocation, which is what keeps a
-  // batched sweep's report byte-identical to a scalar one's.
-  trace::Span InvokeSpan("kernel.invoke_batch", "native",
-                         trace::enabled()
-                             ? format("{\"kernel\":\"%s\",\"lanes\":%zu}",
-                                      jsonEscape(K.Name).c_str(), NumLanes)
-                             : std::string());
-  Activation Act(*this);
-  uint32_t *UnknownSlots = slotsFor(&UnknownLoc);
-  struct BindGuard {
-    Context &C;
-    ~BindGuard() { C.bindInputs(nullptr, 0); }
-  } Guard{*this};
-  if (Suspects)
-    Suspects->assign(NumLanes, 0);
-  for (size_t L = 0; L < NumLanes; ++L) {
-    RunSuspect = false; // each invocation gets its own tier-0 verdict
-    CurLoc = &UnknownLoc;
-    Slots = UnknownSlots;
-    bindInputs(Tuples[L].data(), Tuples[L].size());
-    K.Fn(*this, Tuples[L].data(), Tuples[L].size());
-    if (Suspects)
-      (*Suspects)[L] = RunSuspect;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // The shadowed operations (Real's operators funnel here)
 //===----------------------------------------------------------------------===//

@@ -129,17 +129,6 @@ public:
   void run(const Kernel &K, const double *Vals, size_t N);
   void run(const Kernel &K, const std::vector<double> &Vals);
 
-  /// Runs \p K once per lane on \p NumLanes input tuples, amortizing the
-  /// per-invocation scaffolding (trace span, activation frame, the
-  /// unknown-location slot lookup) across the batch. Records accumulate
-  /// exactly as NumLanes run() calls would have left them -- each lane
-  /// still starts from the unknown location so record ids cannot depend
-  /// on batching. When \p Suspects is non-null it receives the per-lane
-  /// tier-0 verdicts (all false in full mode); lastRunSuspect() reports
-  /// the final lane's.
-  void runBatch(const Kernel &K, const std::vector<double> *Tuples,
-                size_t NumLanes, std::vector<uint8_t> *Suspects = nullptr);
-
   /// \name Results (the Herbgrind-class contract)
   /// @{
   const std::map<uint32_t, OpRecord> &opRecords() const { return Ops; }

@@ -13,10 +13,12 @@ using namespace herbgrind;
 ShadowState::~ShadowState() { reset(); }
 
 void ShadowState::reset() {
-  ActiveTemps = &Temps;
-  clearTempTable(Temps);
-  for (auto &Table : BatchTemps)
-    clearTempTable(Table);
+  for (auto &Lanes : Temps)
+    for (ShadowValue *&SV : Lanes) {
+      if (SV)
+        release(SV);
+      SV = nullptr;
+    }
   for (auto &[Off, C] : ThreadState)
     if (C.SV)
       release(C.SV);
@@ -91,14 +93,14 @@ ShadowValue *ShadowState::share(ShadowValue *SV) {
 //===----------------------------------------------------------------------===//
 
 ShadowValue *ShadowState::tempLane(uint32_t Temp, unsigned Lane) const {
-  assert(Temp < ActiveTemps->size() && Lane < 4 && "temp lane out of range");
-  return (*ActiveTemps)[Temp][Lane];
+  assert(Temp < Temps.size() && Lane < 4 && "temp lane out of range");
+  return Temps[Temp][Lane];
 }
 
 void ShadowState::setTempLane(uint32_t Temp, unsigned Lane, ShadowValue *SV) {
-  assert(Temp < ActiveTemps->size() && Lane < 4 && "temp lane out of range");
-  ShadowValue *Old = (*ActiveTemps)[Temp][Lane];
-  (*ActiveTemps)[Temp][Lane] = SV;
+  assert(Temp < Temps.size() && Lane < 4 && "temp lane out of range");
+  ShadowValue *Old = Temps[Temp][Lane];
+  Temps[Temp][Lane] = SV;
   if (Old)
     release(Old);
 }
@@ -106,29 +108,6 @@ void ShadowState::setTempLane(uint32_t Temp, unsigned Lane, ShadowValue *SV) {
 void ShadowState::clearTemp(uint32_t Temp) {
   for (unsigned Lane = 0; Lane < 4; ++Lane)
     setTempLane(Temp, Lane, nullptr);
-}
-
-void ShadowState::clearTempTable(
-    std::vector<std::array<ShadowValue *, 4>> &Table) {
-  for (auto &Lanes : Table)
-    for (ShadowValue *&SV : Lanes) {
-      if (SV)
-        release(SV);
-      SV = nullptr;
-    }
-}
-
-void ShadowState::beginBatch(unsigned NumLanes) {
-  if (NumLanes > 1 && BatchTemps.size() < NumLanes - 1)
-    BatchTemps.resize(
-        NumLanes - 1,
-        std::vector<std::array<ShadowValue *, 4>>(Temps.size()));
-  ActiveTemps = &Temps;
-}
-
-void ShadowState::selectLane(unsigned Lane) {
-  assert((Lane == 0 || Lane <= BatchTemps.size()) && "lane not provisioned");
-  ActiveTemps = Lane == 0 ? &Temps : &BatchTemps[Lane - 1];
 }
 
 //===----------------------------------------------------------------------===//

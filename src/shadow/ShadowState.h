@@ -105,21 +105,6 @@ public:
   void clearTemp(uint32_t Temp);
   /// @}
 
-  /// \name Batched sample lanes.
-  ///
-  /// A lockstep batch run shadows N sample points through one program at
-  /// once; each point needs its own temp table but shares the pool, the
-  /// trace arena, and the interned influence sets. beginBatch(N)
-  /// provisions N-1 extra tables (batch lane 0 lives in the main table)
-  /// and selectLane(L) points the temp accessors above at lane L's
-  /// table. reset() clears every lane and reselects lane 0. These batch
-  /// lanes are per-sample-point and orthogonal to the per-SIMD-lane
-  /// index inside one temp.
-  /// @{
-  void beginBatch(unsigned NumLanes);
-  void selectLane(unsigned Lane);
-  /// @}
-
   /// \name Shadow thread state.
   /// @{
   ShadowValue *getThreadState(int64_t Offset, unsigned Size) const;
@@ -149,7 +134,6 @@ private:
   };
 
   void invalidateThreadState(int64_t Offset, unsigned Size);
-  void clearTempTable(std::vector<std::array<ShadowValue *, 4>> &Table);
 
   TraceArena &Arena;
   InfluenceSets &Sets;
@@ -157,10 +141,6 @@ private:
   bool ShareValues;
 
   std::vector<std::array<ShadowValue *, 4>> Temps;
-  /// Batch lanes 1..N-1 (lane 0 lives in Temps); see beginBatch.
-  std::vector<std::vector<std::array<ShadowValue *, 4>>> BatchTemps;
-  /// The temp table the accessors currently address; selectLane moves it.
-  std::vector<std::array<ShadowValue *, 4>> *ActiveTemps = &Temps;
   std::map<int64_t, Cell> ThreadState; ///< ordered: range scans
   std::unordered_map<uint64_t, Cell> Memory;
 };

@@ -4,26 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The batched hot path's contract (docs/ARCHITECTURE.md, "Batched
+// The batched path's contract (docs/ARCHITECTURE.md, "Batched
 // evaluation"): processing N sample points per analyzer call is purely a
 // scheduling change. (1) Herbgrind::runOnBatch leaves records, verdicts,
-// and outputs byte-for-byte equal to N sequential runOnInput calls, in
-// full and predicate-only mode alike; (2) engine sweeps render identical
+// and outputs byte-for-byte equal to N sequential runOnInput calls, both
+// in full mode (the scalar fallback) and in predicate-only mode (the
+// struct-of-arrays tier-0 runner); (2) engine sweeps render identical
 // JSON at every --batch value, across jobs counts, tiers, frontends, and
-// non-divisor batch/shard remainders; (3) fpcore::evalDoubleBatch is
-// bitwise equal to evalDouble, including the If/Let/While scalar
-// fallbacks.
+// non-divisor batch/shard remainders.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DiffHarness.h"
-#include "fpcore/Eval.h"
 #include "herbgrind/Herbgrind.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 
 using namespace herbgrind;
@@ -110,13 +107,11 @@ TEST(Batched, PredicateSoAVerdictsMatchScalar) {
       Want.push_back(Scalar.lastRunSuspect() ? 1 : 0);
     }
     Herbgrind Batched(P, Cfg);
-    // Loop benchmarks are not lockstep-batchable (runOnBatch falls back
-    // to the sequential path for them); straight-line F64 ones take the
-    // SoA fast path, and both must produce identical verdicts.
-    if (Batched.soaBatchable()) {
-      EXPECT_TRUE(Batched.lockstepBatchable()) << C.Name;
+    // Loop benchmarks are not SoA-batchable (runOnBatch falls back to the
+    // sequential path for them); straight-line F64 ones take the SoA fast
+    // path, and both must produce identical verdicts.
+    if (Batched.soaBatchable())
       ++SoACovered;
-    }
     for (size_t I = 0; I < Inputs.size(); I += 3) {
       size_t N = std::min<size_t>(3, Inputs.size() - I);
       Batched.runOnBatch(&Inputs[I], N);
@@ -130,43 +125,6 @@ TEST(Batched, PredicateSoAVerdictsMatchScalar) {
   // The corpus is straight-line F64 throughout; if nothing took the SoA
   // path this test stopped covering the tentpole.
   EXPECT_GT(SoACovered, 0u);
-}
-
-/// Native kernels: Context::runBatch must accumulate the records N
-/// run() calls would, with matching per-lane tier-0 verdicts.
-TEST(Batched, NativeRunBatchMatchesScalar) {
-  for (bool Predicate : {false, true}) {
-    AnalysisConfig Cfg;
-    Cfg.PredicateOnly = Predicate;
-    for (const native::Kernel &K : diffharness::randomKernels(0x5eed, 6)) {
-      std::vector<std::vector<double>> Inputs;
-      Rng R(0xabc);
-      for (size_t I = 0; I < 10; ++I) {
-        std::vector<double> In;
-        for (const native::Kernel::InputRange &IR : K.Inputs)
-          In.push_back(R.betweenOrdinals(IR.Lo, IR.Hi));
-        Inputs.push_back(std::move(In));
-      }
-      native::Context Scalar(Cfg);
-      std::vector<uint8_t> Want;
-      for (const std::vector<double> &In : Inputs) {
-        Scalar.run(K, In);
-        Want.push_back(Scalar.lastRunSuspect() ? 1 : 0);
-      }
-      native::Context Batched(Cfg);
-      std::vector<uint8_t> Suspects;
-      for (size_t I = 0; I < Inputs.size(); I += 4) {
-        size_t N = std::min<size_t>(4, Inputs.size() - I);
-        Batched.runBatch(K, &Inputs[I], N, &Suspects);
-        ASSERT_EQ(Suspects.size(), N);
-        for (size_t L = 0; L < N; ++L)
-          ASSERT_EQ(Want[I + L] != 0, Suspects[L] != 0) << K.Name;
-      }
-      ASSERT_EQ(buildReport(Scalar.snapshot()).renderJson(),
-                buildReport(Batched.snapshot()).renderJson())
-          << K.Name << (Predicate ? " predicate" : " full");
-    }
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -196,57 +154,6 @@ TEST(Batched, EngineSweepByteIdenticalAcrossLanesJobsTiers) {
       }
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// evalDoubleBatch: bitwise equality with evalDouble
-//===----------------------------------------------------------------------===//
-
-void checkEvalBatch(const std::string &Text, unsigned NumVars,
-                    uint64_t Seed) {
-  fpcore::ParseResult P = fpcore::parse(Text);
-  ASSERT_TRUE(P.Ok) << P.Error << " in " << Text;
-  Rng R(Seed);
-  const size_t Lanes = 7;
-  std::vector<fpcore::DoubleEnv> Envs(Lanes);
-  for (fpcore::DoubleEnv &Env : Envs)
-    for (unsigned V = 0; V < NumVars; ++V)
-      Env[format("v%u", V)] = R.betweenOrdinals(-100.0, 100.0);
-  double Out[Lanes];
-  fpcore::evalDoubleBatch(*P.Value.Body, Envs.data(), Lanes, Out);
-  for (size_t L = 0; L < Lanes; ++L) {
-    double Want = fpcore::evalDouble(*P.Value.Body, Envs[L]);
-    // Bitwise comparison: NaNs must match as NaNs, -0.0 as -0.0.
-    uint64_t WantBits, GotBits;
-    std::memcpy(&WantBits, &Want, sizeof WantBits);
-    std::memcpy(&GotBits, &Out[L], sizeof GotBits);
-    ASSERT_EQ(WantBits, GotBits) << Text << " lane " << L;
-  }
-}
-
-TEST(Batched, EvalDoubleBatchBitwiseEqual) {
-  // Straight arithmetic (the batched path proper), n-ary folds,
-  // constants, and every scalar-fallback node kind.
-  checkEvalBatch("(FPCore (v0 v1) (- (+ v0 1) v1))", 2, 1);
-  checkEvalBatch("(FPCore (v0 v1 v2) (+ v0 v1 v2 (* v0 v1 v2)))", 3, 2);
-  checkEvalBatch("(FPCore (v0) (* (sqrt (fabs v0)) (sin (/ PI v0))))", 1, 3);
-  checkEvalBatch("(FPCore (v0) (fma v0 E (log (fabs v0))))", 1, 4);
-  checkEvalBatch("(FPCore (v0) (if (< v0 0) (- v0) (sqrt v0)))", 1, 5);
-  checkEvalBatch("(FPCore (v0 v1) (let ([s (+ v0 v1)] [d (- v0 v1)]) "
-                 "(* s d)))",
-                 2, 6);
-  checkEvalBatch("(FPCore (v0) (while (< i 3) ([i 0 (+ i 1)] "
-                 "[acc v0 (* acc acc)]) acc))",
-                 1, 7);
-  // Division poles and domain edges: lanes straddling them must not
-  // contaminate each other.
-  checkEvalBatch("(FPCore (v0) (/ 1 (- v0 v0)))", 1, 8);
-  checkEvalBatch("(FPCore (v0) (log v0))", 1, 9);
-  // Many lanes with a non-trivial expression, exercising per-node
-  // scratch reuse across a deeper tree.
-  checkEvalBatch("(FPCore (v0 v1) (hypot (atan2 v0 v1) "
-                 "(pow (fabs v0) (copysign 0.5 v1))))",
-                 2, 10);
 }
 
 } // namespace

@@ -70,6 +70,46 @@ TEST(FPCoreParse, ErrorsAreReported) {
   EXPECT_FALSE(parse("").Ok);
 }
 
+/// (+ (+ ... x 1) 1), nesting \p Depth deep.
+static std::string nestedExpr(int Depth) {
+  std::string Text;
+  for (int I = 1; I < Depth; ++I)
+    Text += "(+ ";
+  Text += "x";
+  for (int I = 1; I < Depth; ++I)
+    Text += " 1)";
+  return Text;
+}
+
+TEST(FPCoreParse, NestingCap) {
+  // At the cap: parses, and the recursive walks over the tree (clone,
+  // print, compile, both evaluators) stay within it.
+  ParseResult AtCap = parse("(FPCore (x) " + nestedExpr(MaxExprNesting) + ")");
+  ASSERT_TRUE(AtCap.Ok) << AtCap.Error;
+  const double Want = MaxExprNesting - 1;
+  EXPECT_EQ(AtCap.Value.clone().print(), AtCap.Value.print());
+  EXPECT_EQ(evalDouble(*AtCap.Value.Body, {{"x", 0.0}}), Want);
+  EXPECT_EQ(evalReal(*AtCap.Value.Body, {{"x", BigFloat::fromDouble(0.0)}})
+                .toDouble(),
+            Want);
+  RunResult Run = interpret(compile(AtCap.Value), {0.0}, 10'000);
+  ASSERT_EQ(Run.Outputs.size(), 1u);
+  EXPECT_EQ(Run.Outputs[0].asF64(), Want);
+
+  // One past the cap, and far past it (deep enough to overflow the stack
+  // without the cap): a clean parse error, not a crash.
+  for (int Depth : {MaxExprNesting + 1, 20000}) {
+    ParseResult Past = parse("(FPCore (x) " + nestedExpr(Depth) + ")");
+    EXPECT_FALSE(Past.Ok) << Depth;
+    EXPECT_NE(Past.Error.find("nested deeper"), std::string::npos)
+        << Past.Error;
+  }
+  std::string Err;
+  EXPECT_NE(parseExpr(nestedExpr(MaxExprNesting), Err), nullptr) << Err;
+  EXPECT_EQ(parseExpr(nestedExpr(MaxExprNesting + 1), Err), nullptr);
+  EXPECT_FALSE(Err.empty());
+}
+
 TEST(FPCoreParse, PrintRoundTrips) {
   for (const Core &C : corpus()) {
     ParseResult R = parse(C.print());
