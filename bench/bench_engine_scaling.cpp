@@ -45,6 +45,7 @@
 #include "BenchCommon.h"
 #include "analysis/OpProfile.h"
 #include "engine/Engine.h"
+#include "engine/ResultCache.h"
 #include "engine/RunLedger.h"
 #include "improve/BatchImprove.h"
 #include "native/Context.h"
@@ -61,11 +62,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace herbgrind;
 using namespace herbgrind::bench;
@@ -442,6 +446,82 @@ bool parseCount(const char *S, int &Out) {
   }
   Out = static_cast<int>(V);
   return true;
+}
+
+/// The trace ladder's hardware-independent counters: the corpus plus the
+/// native demo kernels, full tier, one worker, fixed sampling (so the
+/// numbers do not depend on the bench's arguments). A benchmark finalized
+/// trace-free must have built no trace node, replays stay at or below one
+/// per traced benchmark, and trace nodes per reported root cause stay
+/// under a ceiling pinned 10% above the first measurement.
+struct LadderProbe {
+  static constexpr int Samples = 16;
+  static constexpr int ShardSize = 4;
+  static constexpr double NodesPerRootCauseCeiling = 117.6;
+  EngineStats Stats;
+  uint64_t RootCauses = 0;
+  uint64_t TraceFreeBenchmarks = 0;
+  uint64_t TraceFreeNodes = 0; ///< Trace nodes of trace-free benchmarks.
+  bool ByteIdentical = false;
+  std::string Err;
+
+  double nodesPerRootCause() const {
+    return RootCauses ? static_cast<double>(Stats.TraceNodes) / RootCauses
+                      : 0.0;
+  }
+  bool ok() const {
+    return ByteIdentical && TraceFreeNodes == 0 &&
+           Stats.ReplayedShards <= Stats.TracedBenchmarks &&
+           nodesPerRootCause() <= NodesPerRootCauseCeiling;
+  }
+};
+
+LadderProbe runLadderProbe(const std::vector<fpcore::Core> &Cores,
+                           const std::vector<native::Kernel> &Kernels) {
+  LadderProbe LP;
+  EngineConfig Cfg;
+  Cfg.Jobs = 1;
+  Cfg.SamplesPerBenchmark = LadderProbe::Samples;
+  Cfg.ShardSize = LadderProbe::ShardSize;
+  BatchResult R = Engine(Cfg).run(Cores, Kernels);
+  LP.Stats = R.Stats;
+  for (const BenchmarkResult &BR : R.Benchmarks) {
+    LP.RootCauses += BR.Rep.allRootCauses().size();
+    if (!BR.Traced) {
+      ++LP.TraceFreeBenchmarks;
+      LP.TraceFreeNodes += BR.TraceNodes;
+    }
+  }
+
+  // The traced oracle: two slices (shard 0, then the rest) cannot see the
+  // merged verdict, so they analyze every shard traced; their emitted
+  // documents, merged, must render the ladder run's bytes.
+  std::string Dir =
+      (std::filesystem::temp_directory_path() /
+       ("herbgrind-bench-ladder-" + std::to_string(::getpid())))
+          .string();
+  std::error_code Ec;
+  std::filesystem::remove_all(Dir, Ec);
+  EngineConfig A = Cfg, B = Cfg;
+  A.ShardEnd = 1;
+  B.ShardBegin = 1;
+  A.EmitShardDir = B.EmitShardDir = Dir;
+  B.WireFormat = WireEncoding::Binary;
+  Engine(A).run(Cores, Kernels);
+  Engine(B).run(Cores, Kernels);
+  std::vector<ShardDoc> Docs;
+  for (const auto &E : std::filesystem::directory_iterator(Dir, Ec)) {
+    std::string Text;
+    ShardDoc D;
+    if (!readFile(E.path().string(), Text) || !parseShard(Text, D, LP.Err))
+      break;
+    Docs.push_back(std::move(D));
+  }
+  std::filesystem::remove_all(Dir, Ec);
+  BatchResult Merged;
+  if (LP.Err.empty() && mergeShards(std::move(Docs), Merged, LP.Err))
+    LP.ByteIdentical = Merged.renderJson() == R.renderJson();
+  return LP;
 }
 
 } // namespace
@@ -822,6 +902,46 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(FastFraction).c_str(),
       TierIdentical ? "true" : "false");
 
+  LadderProbe LP = runLadderProbe(TierCores, TierKernels);
+  EngineConfig LadCfg;
+  LadCfg.Jobs = 1;
+  LadCfg.SamplesPerBenchmark = LadderProbe::Samples;
+  LadCfg.ShardSize = LadderProbe::ShardSize;
+  if (!AppendLedger(LadCfg, LP.Stats, "ladder"))
+    return 1;
+  std::printf("\ntrace ladder (corpus + demo kernels, full tier, jobs 1, "
+              "%d samples, shard %d):\n"
+              "  %llu/%llu benchmarks traced, %llu trace-free (%llu trace "
+              "nodes), %llu replayed shards; %llu trace nodes for %llu "
+              "root causes = %.1f per root cause (ceiling %.1f); identical "
+              "to traced slices: %s\n",
+              LadderProbe::Samples, LadderProbe::ShardSize,
+              static_cast<unsigned long long>(LP.Stats.TracedBenchmarks),
+              static_cast<unsigned long long>(LP.Stats.Benchmarks),
+              static_cast<unsigned long long>(LP.TraceFreeBenchmarks),
+              static_cast<unsigned long long>(LP.TraceFreeNodes),
+              static_cast<unsigned long long>(LP.Stats.ReplayedShards),
+              static_cast<unsigned long long>(LP.Stats.TraceNodes),
+              static_cast<unsigned long long>(LP.RootCauses),
+              LP.nodesPerRootCause(), LadderProbe::NodesPerRootCauseCeiling,
+              LP.ByteIdentical ? "yes" : "NO -- BUG");
+  std::string LadderJson = format(
+      "{\"samples\":%d,\"shard_size\":%d,\"trace_nodes\":%llu,"
+      "\"root_causes\":%llu,\"nodes_per_root_cause\":%s,"
+      "\"nodes_per_root_cause_ceiling\":%s,\"trace_free_benchmarks\":%llu,"
+      "\"trace_free_nodes\":%llu,\"traced_benchmarks\":%llu,"
+      "\"replayed_shards\":%llu,\"byte_identical\":%s}",
+      LadderProbe::Samples, LadderProbe::ShardSize,
+      static_cast<unsigned long long>(LP.Stats.TraceNodes),
+      static_cast<unsigned long long>(LP.RootCauses),
+      formatDoubleShortest(LP.nodesPerRootCause()).c_str(),
+      formatDoubleShortest(LadderProbe::NodesPerRootCauseCeiling).c_str(),
+      static_cast<unsigned long long>(LP.TraceFreeBenchmarks),
+      static_cast<unsigned long long>(LP.TraceFreeNodes),
+      static_cast<unsigned long long>(LP.Stats.TracedBenchmarks),
+      static_cast<unsigned long long>(LP.Stats.ReplayedShards),
+      LP.ByteIdentical ? "true" : "false");
+
   // Sample-batched evaluation: the SoA tier-0 hot path scalar vs.
   // batched, plus the engine-level contract check -- a --batch sweep of
   // the corpus must reproduce the scalar reference bytes.
@@ -987,6 +1107,7 @@ int main(int Argc, char **Argv) {
       "\"profile\":%s,"
       "\"telemetry_merge\":%s,"
       "\"tiered\":%s,"
+      "\"ladder\":%s,"
       "\"batched\":%s,"
       "\"wire\":%s,"
       "\"trace\":%s,"
@@ -1014,7 +1135,7 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.InterpSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
       ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
-      BatchedJson.c_str(), WireSectionJson.c_str(), TraceJson.c_str(),
+      LadderJson.c_str(), BatchedJson.c_str(), WireSectionJson.c_str(), TraceJson.c_str(),
       KernelsJson.c_str(), CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
   if (Out) {
@@ -1120,6 +1241,25 @@ int main(int Argc, char **Argv) {
                  "nodes/op (ceiling %.1f), %zu live nodes (ceiling %zu)\n",
                  TP.NodesPerOp, TP.nodesPerOpCeiling(), TP.LiveHigh,
                  TP.liveHighCeiling());
+    return 1;
+  }
+  // The trace-ladder gate (hardware-independent counters): no trace node
+  // for a benchmark without a root cause, at most one replay per traced
+  // benchmark, trace nodes per root cause under the pinned ceiling, and
+  // the traced oracle's bytes.
+  if (!LP.ok()) {
+    std::fprintf(stderr,
+                 "FAIL: trace ladder: %llu trace nodes in trace-free "
+                 "benchmarks (expected 0), %llu replayed shards for %llu "
+                 "traced benchmarks, %.1f trace nodes per root cause "
+                 "(ceiling %.1f), identical to traced slices: %s%s%s\n",
+                 static_cast<unsigned long long>(LP.TraceFreeNodes),
+                 static_cast<unsigned long long>(LP.Stats.ReplayedShards),
+                 static_cast<unsigned long long>(LP.Stats.TracedBenchmarks),
+                 LP.nodesPerRootCause(),
+                 LadderProbe::NodesPerRootCauseCeiling,
+                 LP.ByteIdentical ? "yes" : "no",
+                 LP.Err.empty() ? "" : " -- ", LP.Err.c_str());
     return 1;
   }
   // The kernel gate: each shadow-real kernel must cost at most its

@@ -1381,6 +1381,14 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(Result.Stats.PoolTasks),
       static_cast<unsigned long long>(Result.Stats.PoolSteals),
       static_cast<unsigned long long>(Result.Stats.PoolMaxQueueDepth));
+  std::fprintf(stderr,
+               "trace ladder: %llu trace-free shards, %llu replayed "
+               "traced, %llu/%llu benchmarks traced, %llu trace nodes\n",
+               static_cast<unsigned long long>(Result.Stats.TraceFreeShards),
+               static_cast<unsigned long long>(Result.Stats.ReplayedShards),
+               static_cast<unsigned long long>(Result.Stats.TracedBenchmarks),
+               static_cast<unsigned long long>(Result.Stats.Benchmarks),
+               static_cast<unsigned long long>(Result.Stats.TraceNodes));
   if (Cfg.Tier != TierMode::Full)
     std::fprintf(
         stderr,

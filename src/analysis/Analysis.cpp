@@ -11,6 +11,7 @@
 #include "analysis/RealOps.h"
 #include "ir/LibmLowering.h"
 #include "support/FloatBits.h"
+#include "support/Format.h"
 #include "support/LimbAlloc.h"
 #include "support/Metrics.h"
 
@@ -177,7 +178,8 @@ ShadowValue *Herbgrind::lazyShadow(uint32_t Temp, unsigned Lane,
   BigFloat Real = Ty == ValueType::F32
                       ? BigFloat::fromFloat(Concrete.F32, Cfg.PrecisionBits)
                       : BigFloat::fromDouble(Concrete.F64, Cfg.PrecisionBits);
-  TraceNode *Leaf = Arena.leaf(concreteAsDouble(Concrete));
+  TraceNode *Leaf =
+      Cfg.TraceFree ? nullptr : Arena.leaf(concreteAsDouble(Concrete));
   SV = Shadow->create(std::move(Real), Leaf, Sets.empty(), Ty);
   Shadow->setTempLane(Temp, Lane, SV); // temp keeps the reference
   return SV;
@@ -750,19 +752,25 @@ ShadowValue *herbgrind::shadowScalarOpCore(
   if (Flagged)
     Infl = Sets.insert(Infl, PC);
 
-  // Concrete expression trace (Section 4.3).
-  TraceNode *Kids[3];
-  for (unsigned I = 0; I < NumArgs; ++I)
-    Kids[I] = ArgSV[I]->Trace;
-  TraceNode *Trace =
-      Arena.node(Op, PC, concreteAsDouble(ConcreteResult), Kids, NumArgs);
+  // Concrete expression trace (Section 4.3); the trace-free pass builds
+  // none, and so has no expression or bindings to fold below.
+  TraceNode *Trace = nullptr;
+  if (!Cfg.TraceFree) {
+    TraceNode *Kids[3];
+    for (unsigned I = 0; I < NumArgs; ++I)
+      Kids[I] = ArgSV[I]->Trace;
+    Trace = Arena.node(Op, PC, concreteAsDouble(ConcreteResult), Kids,
+                       NumArgs);
+  }
 
   // Incremental record update (Section 6 "Incrementalization").
   ++Rec.Executions;
   Rec.LocalError.add(LocalErr);
   std::vector<VarBinding> Bindings;
   std::vector<Promotion> Promotions;
-  if (!Rec.Expr) {
+  if (!Trace) {
+    // Trace-free: counters and statistics only.
+  } else if (!Rec.Expr) {
     Rec.Expr = symbolize(Arena, Trace);
   } else {
     Rec.Expr = antiUnify(Arena, Rec.Expr.get(), Trace, Rec.NextVarIdx,
@@ -1001,6 +1009,21 @@ OpRecord OpRecord::clone() const {
   return R;
 }
 
+/// The counters and statistics half of OpRecord::mergeFrom (all of it for
+/// trace-free records).
+static void mergeCounters(OpRecord &Into, const OpRecord &From) {
+  Into.Executions += From.Executions;
+  Into.Flagged += From.Flagged;
+  Into.CompensationsDetected += From.CompensationsDetected;
+  Into.LocalError.merge(From.LocalError);
+  Into.MaxFlaggedLocalError =
+      std::max(Into.MaxFlaggedLocalError, From.MaxFlaggedLocalError);
+  Into.ProfSamples += From.ProfSamples;
+  Into.ProfNanos += From.ProfNanos;
+  Into.ProfLimbAllocs += From.ProfLimbAllocs;
+  Into.ProfLimbHits += From.ProfLimbHits;
+}
+
 void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
   if (Other.Executions == 0)
     return;
@@ -1009,11 +1032,20 @@ void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
     return;
   }
 
+  if (traceFree() != Other.traceFree())
+    fatalError(format("op record at %s: cannot merge a trace-free record "
+                      "with a traced one",
+                      Loc.str().c_str()));
+  if (traceFree()) {
+    // No expression or input summaries to fold.
+    mergeCounters(*this, Other);
+    return;
+  }
+
   // Anti-unify the two accumulated expressions. B's per-variable first
   // observed values (Example is the earliest value by construction, thanks
   // to retroactive constant promotion) disambiguate merged-variable
   // numbering so it matches sequential processing.
-  assert(Expr && Other.Expr && "executed records always carry expressions");
   std::vector<std::pair<bool, double>> BFirst;
   BFirst.reserve(Other.TotalInputs.Vars.size());
   for (const VarSummary &VS : Other.TotalInputs.Vars)
@@ -1089,16 +1121,15 @@ void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
   NextVarIdx = NewNext;
   TotalInputs = std::move(NewTotal);
   ProblematicInputs = std::move(NewProb);
-  Executions += Other.Executions;
-  Flagged += Other.Flagged;
-  CompensationsDetected += Other.CompensationsDetected;
-  LocalError.merge(Other.LocalError);
-  MaxFlaggedLocalError = std::max(MaxFlaggedLocalError,
-                                  Other.MaxFlaggedLocalError);
-  ProfSamples += Other.ProfSamples;
-  ProfNanos += Other.ProfNanos;
-  ProfLimbAllocs += Other.ProfLimbAllocs;
-  ProfLimbHits += Other.ProfLimbHits;
+  mergeCounters(*this, Other);
+}
+
+void OpRecord::dropTrace() {
+  Expr.reset();
+  NextVarIdx = 0;
+  TotalInputs = {};
+  ProblematicInputs = {};
+  ExampleProblematic.clear();
 }
 
 AnalysisResult AnalysisResult::clone() const {
@@ -1126,6 +1157,25 @@ void AnalysisResult::mergeFrom(const AnalysisResult &Other) {
     else
       It->second.mergeFrom(Spot);
   }
+}
+
+bool AnalysisResult::traceFree() const {
+  for (const auto &[PC, Rec] : Ops)
+    if (Rec.traceFree())
+      return true;
+  return false;
+}
+
+bool AnalysisResult::namesRootCause() const {
+  for (const auto &[PC, Spot] : Spots)
+    if (Spot.Erroneous > 0 && !Spot.InfluencingOps.empty())
+      return true;
+  return false;
+}
+
+void AnalysisResult::dropTraces() {
+  for (auto &[PC, Rec] : Ops)
+    Rec.dropTrace();
 }
 
 AnalysisResult Herbgrind::snapshot() const {

@@ -71,6 +71,16 @@ struct AnalysisConfig {
   /// of the engine's config hash: it never changes full-mode results,
   /// only which runs pay for them.
   bool PredicateOnly = false;
+  /// Trace-free full shadow (the engine's first pass; docs/ARCHITECTURE.md,
+  /// "Trace-free pass and traced replay"): reals, local error, flagging,
+  /// influences, compensation detection and spots run exactly as in
+  /// traced mode, but no trace node, symbolic expression or input binding
+  /// is built. Op records keep their counters and statistics; Expr and the
+  /// input summaries stay empty, so a record set from this mode can say
+  /// whether it names a root cause but cannot render one. Set only by the
+  /// engine and, like PredicateOnly, absent from the config hash: shard
+  /// documents carry their own trace-free mark.
+  bool TraceFree = false;
 };
 
 enum class SpotKind : uint8_t { Output, Comparison, Conversion };
@@ -122,6 +132,10 @@ struct OpRecord {
   /// Deep copy (the symbolic expression is owned).
   OpRecord clone() const;
 
+  /// True for a record made by the trace-free pass: it executed, but
+  /// carries no symbolic expression. Traced records always have one.
+  bool traceFree() const { return Executions > 0 && !Expr; }
+
   /// Folds another shard's record for the same operation site in: the
   /// symbolic expressions are anti-unified (bounded at \p EquivDepth like
   /// the incremental path), input summaries are combined through the
@@ -133,8 +147,14 @@ struct OpRecord {
   /// other shard's first value, which can shift merged-variable
   /// *numbering* relative to a sequential run; aggregates stay correct,
   /// and engine output remains byte-identical across worker counts
-  /// either way).
+  /// either way). Two trace-free records fold counter-wise; folding a
+  /// trace-free record with a traced one is a fatal error (the merged
+  /// expression would silently describe only some of the executions).
   void mergeFrom(const OpRecord &Other, uint32_t EquivDepth);
+
+  /// Drops the expression and input summaries, leaving the record a
+  /// trace-free one with the same counters and statistics.
+  void dropTrace();
 };
 
 /// A mergeable snapshot of one analysis' accumulated records: the value
@@ -151,6 +171,21 @@ struct AnalysisResult {
 
   /// Folds \p Other (a later shard of the same program) in.
   void mergeFrom(const AnalysisResult &Other);
+
+  /// True when some op record came from the trace-free pass. A record set
+  /// is all traced or all trace-free; a result without op records is
+  /// both, and reads as traced.
+  bool traceFree() const;
+
+  /// True when some erroneous spot names an influencing op, i.e. the
+  /// report built from these records shows a root cause. Influences are
+  /// inserted only on erroneous observations, so a merged result names a
+  /// root cause exactly when one of its shards does.
+  bool namesRootCause() const;
+
+  /// Turns a traced result into the trace-free result the same runs would
+  /// have produced (OpRecord::dropTrace on every record).
+  void dropTraces();
 };
 
 /// \name Frontend-independent shadow semantics

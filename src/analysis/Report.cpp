@@ -81,6 +81,12 @@ static Report buildReportFromRecords(const std::map<uint32_t, OpRecord> &Ops,
               });
     for (uint32_t OpPC : Influencers) {
       auto It = Ops.find(OpPC);
+      // A root cause renders its expression, which the trace-free pass
+      // never builds: such records must be replayed traced first.
+      if (It != Ops.end() && It->second.traceFree())
+        fatalError(format("report: root cause at pc %u has trace-free "
+                          "records (its shards must be replayed traced)",
+                          OpPC));
       if (It == Ops.end() || !It->second.Expr)
         continue;
       SR.RootCauses.push_back(buildRootCause(OpPC, It->second, Ranges));

@@ -105,7 +105,9 @@ std::string fpcoreForRecord(const OpRecord &Rec, RangeMode Ranges);
 /// Extracts the report from a finished analysis.
 Report buildReport(const Herbgrind &Analysis);
 
-/// Builds the report from a (possibly merged) record snapshot.
+/// Builds the report from a (possibly merged) record snapshot. Trace-free
+/// records build the same report as traced ones unless they name a root
+/// cause, which has no expression to render: that is a fatal error.
 Report buildReport(const AnalysisResult &Result);
 
 } // namespace herbgrind

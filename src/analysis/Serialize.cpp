@@ -671,9 +671,19 @@ static void encodeShardBody(wire::Encoder &E, const std::string &ConfigHash,
   E.u64(RunEnd);
   E.key("result");
   encodeAnalysisResult(E, Result);
+  // 1.2: records from the trace-free pass are marked, so no reader can
+  // take them for traced ones.
+  const bool TraceFree = Result.traceFree();
+  E.present(TraceFree);
+  if (TraceFree) {
+    E.key("traceFree");
+    E.boolean(true);
+  }
 }
 
-static bool decodeShardBody(wire::Decoder &D, ShardDoc &Out) {
+/// \p DocMinor is the document's own minor version: the trace-free mark
+/// exists from 1.2 on (an older document is traced by construction).
+static bool decodeShardBody(wire::Decoder &D, ShardDoc &Out, int DocMinor) {
   ScopedCtx C(D, "shard");
   if (!D.key("configHash") || !D.str(Out.ConfigHash) || !D.key("benchmark") ||
       !D.str(Out.Benchmark) || !D.key("benchIndex") ||
@@ -686,7 +696,26 @@ static bool decodeShardBody(wire::Decoder &D, ShardDoc &Out) {
         format("shard: runEnd (%llu) precedes runBegin (%llu)",
                static_cast<unsigned long long>(Out.RunEnd),
                static_cast<unsigned long long>(Out.RunBegin)));
-  return D.key("result") && decodeAnalysisResult(D, Out.Result);
+  if (!D.key("result") || !decodeAnalysisResult(D, Out.Result))
+    return false;
+  bool TraceFree = false;
+  if (DocMinor >= 2) {
+    if (!D.present("traceFree", TraceFree))
+      return false;
+    if (TraceFree && (!D.key("traceFree") || !D.boolean(TraceFree)))
+      return false;
+  }
+  // The mark must agree with every executed record: a traced document
+  // whose expressions went missing is corrupt, not trace-free.
+  for (const auto &[PC, Rec] : Out.Result.Ops)
+    if (Rec.Executions > 0 && (Rec.Expr == nullptr) != TraceFree)
+      return D.failOver(format(
+          TraceFree ? "shard: op record at pc %u carries an expression in "
+                      "a document marked trace-free"
+                    : "shard: op record at pc %u has no expression in a "
+                      "document not marked trace-free",
+          PC));
+  return true;
 }
 
 std::string herbgrind::renderShardJson(const std::string &ConfigHash,
@@ -697,7 +726,8 @@ std::string herbgrind::renderShardJson(const std::string &ConfigHash,
                                        const AnalysisResult &Result) {
   wire::JsonEncoder E;
   E.beginObject();
-  encodeJsonEnvelope(E, "herbgrind-shard", WireFormatMajor, WireFormatMinor);
+  encodeJsonEnvelope(E, "herbgrind-shard", WireFormatMajor,
+                     ShardFormatMinor);
   encodeShardBody(E, ConfigHash, Benchmark, BenchIndex, ShardIndex, RunBegin,
                   RunEnd, Result);
   E.endObject();
@@ -715,7 +745,8 @@ std::string herbgrind::renderShardBinary(const std::string &ConfigHash,
                                          uint64_t ShardIndex,
                                          uint64_t RunBegin, uint64_t RunEnd,
                                          const AnalysisResult &Result) {
-  wire::BinaryEncoder E(wire::Family::Shard, WireFormatMajor, WireFormatMinor);
+  wire::BinaryEncoder E(wire::Family::Shard, WireFormatMajor,
+                        ShardFormatMinor);
   encodeShardBody(E, ConfigHash, Benchmark, BenchIndex, ShardIndex, RunBegin,
                   RunEnd, Result);
   return E.take();
@@ -742,9 +773,11 @@ bool herbgrind::parseShardJson(const std::string &Text, ShardDoc &Out,
     return false;
   }
   wire::JsonDecoder D(R.Value);
+  int DocMinor = 0;
   if (!D.beginObject() ||
-      !decodeJsonEnvelope(D, "herbgrind-shard", WireFormatMajor) ||
-      !decodeShardBody(D, Out) || !D.endObject()) {
+      !decodeJsonEnvelope(D, "herbgrind-shard", WireFormatMajor,
+                          &DocMinor) ||
+      !decodeShardBody(D, Out, DocMinor) || !D.endObject()) {
     Err = D.error();
     return false;
   }
@@ -757,7 +790,7 @@ static bool parseShardBinary(const std::string &Text, ShardDoc &Out,
   if (!checkBinaryHeader(D, wire::Family::Shard, "herbgrind-shard",
                          WireFormatMajor, Err))
     return false;
-  if (!decodeShardBody(D, Out)) {
+  if (!decodeShardBody(D, Out, D.minor())) {
     Err = D.error();
     return false;
   }

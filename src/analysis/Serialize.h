@@ -57,6 +57,11 @@ constexpr int WireFormatMajor = 1;
 /// History: 1.1 added the optional report "improvements" section
 /// (ImproveRecord) and the "herbgrind-improve" cache document.
 constexpr int WireFormatMinor = 1;
+/// The shard document family's own minor version, ahead of the others:
+/// 1.2 added the optional "traceFree" mark. Kept separate so that report
+/// documents, whose bytes are the engine's output contract, do not change
+/// when only the shard family grows.
+constexpr int ShardFormatMinor = 2;
 
 /// Which wire backend a writer uses. Readers never need to be told --
 /// they sniff. Deliberately NOT part of the engine config hash: both
@@ -92,7 +97,9 @@ bool parseAnalysisResultJson(const JsonValue &V, AnalysisResult &Out,
 /// One shard-result document: an `AnalysisResult` plus the identity
 /// needed to place it in a sweep (which benchmark, which slice of the
 /// sampled inputs) and the engine config hash that guards merges of
-/// incompatible shards.
+/// incompatible shards. A trace-free result (`Result.traceFree()`) is
+/// written with the "traceFree" mark, and parsing checks that the mark
+/// agrees with every record.
 struct ShardDoc {
   std::string ConfigHash; ///< engine::configHash() of the producing sweep.
   std::string Benchmark;  ///< Benchmark name (presentation only).

@@ -69,10 +69,12 @@ struct Tier0Outcome {
   uint64_t Ops = 0; ///< Shadow ops the predicate analyzer executed.
 };
 
-/// One fast-tier shard: full-shadow records for the escalated runs only,
-/// plus the tier accounting.
-struct FastOutcome {
+/// One analyzed shard: its records plus cost accounting. The tier fields
+/// are filled by the fast tier only, whose records cover the escalated
+/// runs alone.
+struct ShardOutcome {
   AnalysisResult Result;
+  uint64_t TraceNodes = 0; ///< Trace nodes the analyzer allocated.
   uint64_t Tier0Runs = 0;
   uint64_t Tier0Ops = 0;
   uint64_t EscalatedRuns = 0;
@@ -90,13 +92,15 @@ struct SweepSource {
   /// Cache/wire identity; computed lazily (FPCore printing is not free)
   /// and only when a result cache or emit directory needs it.
   std::function<std::string()> MakeIdentity;
-  /// Analyzes sampled inputs [Begin, End); must be callable concurrently
-  /// with itself -- across sources AND across shards of one source
-  /// (work stealing rebalances affine queues). Worker-local analyzer
-  /// state (thread_local) is the only mutable state it may keep.
-  std::function<AnalysisResult(
+  /// Analyzes sampled inputs [Begin, End), trace-free or traced (in the
+  /// fast tier: every run at tier 0 first, and only suspect runs under
+  /// the full shadow, whose records are the result); must be callable
+  /// concurrently with itself -- across sources AND across shards of one
+  /// source (work stealing rebalances affine queues). Worker-local
+  /// analyzer state (thread_local) is the only mutable state it may keep.
+  std::function<ShardOutcome(
       uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
-      size_t Begin, size_t End)>
+      size_t Begin, size_t End, bool TraceFree)>
       AnalyzeShard;
   /// Tier-0 sweep of the same slice: runs the frontend in predicate-only
   /// mode (no BigFloat, no traces, no records) and reports whether any
@@ -106,13 +110,6 @@ struct SweepSource {
       uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
       size_t Begin, size_t End)>
       Tier0Shard;
-  /// Fast-tier analysis of the slice: every run executes at tier 0
-  /// first, and only suspect runs replay under the full shadow, whose
-  /// records are the result.
-  std::function<FastOutcome(
-      uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
-      size_t Begin, size_t End)>
-      FastShard;
 };
 
 } // namespace
@@ -168,7 +165,39 @@ struct BenchFold {
   std::mutex M;
   size_t NextIndex = 0; ///< Next shard index the accumulator expects.
   std::map<size_t, AnalysisResult> Pending; ///< Out-of-order completions.
+  /// The trace ladder's state: false while the benchmark's shards run
+  /// trace-free, true once some shard's records named a root cause (and
+  /// throughout a slice). Written under M; read lock-free to pick a
+  /// shard's pass.
+  std::atomic<bool> Traced{false};
+  /// Under M: the accumulator holds trace-free records (never once Traced).
+  bool Stripped = false;
+  size_t FirstShard = 0; ///< Position of its first shard in the layout.
+  /// Per executed shard (index - ShardBegin), under M: whether its
+  /// shard.reduced event was emitted.
+  std::vector<char> Reduced;
+  std::atomic<uint64_t> TraceNodes{0}; ///< Over all its shard analyses.
+  /// Profiler cost of discarded trace-free results, per op pc, under M.
+  std::map<uint32_t, OpRecord> DiscardedCost;
 };
+
+/// Adds \p From's profiler cost fields (opprof) to \p Into's.
+void addProfilerCost(OpRecord &Into, const OpRecord &From) {
+  Into.ProfSamples += From.ProfSamples;
+  Into.ProfNanos += From.ProfNanos;
+  Into.ProfLimbAllocs += From.ProfLimbAllocs;
+  Into.ProfLimbHits += From.ProfLimbHits;
+}
+
+/// Keeps the profiler cost of a trace-free result the ladder discards:
+/// the benchmark's final records absorb it, so the op profile still
+/// accounts for every measured nanosecond of the sweep.
+void keepProfilerCost(std::map<uint32_t, OpRecord> &Cost,
+                      const AnalysisResult &R) {
+  for (const auto &[PC, Rec] : R.Ops)
+    if (Rec.ProfSamples > 0)
+      addProfilerCost(Cost[PC], Rec);
+}
 
 } // namespace
 
@@ -202,6 +231,12 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
       metrics::counter("tier.escalations");
   static metrics::Counter MTierConfirmations =
       metrics::counter("tier.confirmations");
+  static metrics::Counter MTraceFree =
+      metrics::counter("ladder.trace_free_shards");
+  static metrics::Counter MReplayed = metrics::counter("ladder.replayed_shards");
+  static metrics::Counter MTracedBenchmarks =
+      metrics::counter("ladder.traced_benchmarks");
+  static metrics::Counter MTraceNodes = metrics::counter("trace.nodes");
   static metrics::Timer TProbe = metrics::timer("engine.shard_cache_probe_ns");
   static metrics::Timer TAnalyze = metrics::timer("engine.shard_analyze_ns");
   static metrics::Timer TReduce = metrics::timer("engine.shard_reduce_ns");
@@ -323,109 +358,172 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   // too, so the rendered output is unchanged -- and skip the cache in
   // both directions (an empty record set must never masquerade as a full
   // one under the shared hash).
+  //
+  // The trace ladder (docs/ARCHITECTURE.md, "Trace-free pass and traced
+  // replay"): a report renders expressions only for root causes, and a
+  // benchmark reports one exactly when some shard's records name one. So
+  // when the run covers the whole layout every benchmark starts
+  // trace-free and folds counter-only records. The first shard whose
+  // records name a root cause flips its benchmark to traced and reruns
+  // itself traced; the fold rewinds to the start of the slice, and the
+  // shards already resolved trace-free are re-queued traced. A slice
+  // cannot see the merged verdict, so it runs traced throughout.
+  const size_t Step = static_cast<size_t>(Cfg.ShardSize);
+  const size_t LayoutShards =
+      (static_cast<size_t>(Cfg.SamplesPerBenchmark) + Step - 1) / Step;
+  const bool WholeLayout = Cfg.ShardBegin == 0 && Cfg.ShardEnd >= LayoutShards;
+  for (size_t S = 0; S < Shards.size(); ++S) {
+    BenchFold &Fold = Folds[Shards[S].Bench];
+    if (Fold.Reduced.empty())
+      Fold.FirstShard = S;
+    Fold.Reduced.push_back(0);
+  }
+  for (size_t B = 0; B < Sources.size(); ++B)
+    Folds[B].Traced.store(!WholeLayout && BenchSuspect[B],
+                          std::memory_order_relaxed);
+
   std::atomic<uint64_t> Analyzed{0}, Cached{0}, EmitFailed{0};
   std::atomic<uint64_t> LimbHeap{0}, LimbHits{0};
+  std::atomic<uint64_t> TraceFreeShards{0}, ReplayedShards{0}, TraceNodes{0};
   const uint64_t RcHits0 = RC ? RC->hits() : 0;
   const uint64_t RcMisses0 = RC ? RC->misses() : 0;
   const uint64_t RcStoreFail0 = RC ? RC->storeFailures() : 0;
   {
     ThreadPool Pool(Cfg.Jobs);
-    for (size_t S = 0; S < Shards.size(); ++S) {
-      if (events::enabled())
-        events::emit("shard.queued",
-                     format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu",
-                            Shards[S].Bench, Shards[S].Index,
-                            Shards[S].End - Shards[S].Begin));
-      // Benchmark-affine placement: a benchmark's shards land on one
-      // worker (stealing still rebalances), so the worker-local analyzer
-      // inside AnalyzeShard actually gets reused across them at any jobs
-      // count.
-      Pool.submitTo(Shards[S].Bench, [RC, &Cfg, S, RunId, &Shards, &Sources,
-                                      &Inputs, &Seeds, &Identities, &Folds,
-                                      &Out, &Analyzed, &Cached, &EmitFailed,
-                                      &LimbHeap, &LimbHits, &CfgHash,
-                                      &BenchSuspect, &Tier0Runs, &Tier0Ops,
-                                      &EscalatedRuns] {
-        const Shard &Sh = Shards[S];
-        // Confirm tier, benchmark cleared by phase 2a: no probe, no
-        // analysis, no store -- fold an empty shard so the layout's
-        // shard/run accounting (and the emitted document set) stays
-        // complete.
-        const bool Cleared = !BenchSuspect[Sh.Bench];
-        std::string SpanArgs =
-            trace::enabled()
-                ? format("{\"bench\":%zu,\"shard\":%zu,\"runs\":%zu}",
-                         Sh.Bench, Sh.Index, Sh.End - Sh.Begin)
-                : std::string();
-        std::string EvArgs =
-            events::enabled()
-                ? format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu", Sh.Bench,
-                         Sh.Index, Sh.End - Sh.Begin)
-                : std::string();
-        ResultCache::ShardKey Key;
-        if (RC && !Cleared) {
-          Key.CoreIdentity = Identities[Sh.Bench];
-          Key.DerivedSeed = Seeds[Sh.Bench];
-          Key.BenchIndex = Sh.Bench;
-          Key.ShardIndex = Sh.Index;
-          Key.RunBegin = Sh.Begin;
-          Key.RunEnd = Sh.End;
-        }
+    // RunShard(S, Requeued): Requeued marks a shard whose result a flip
+    // discarded.
+    std::function<void(size_t, bool)> RunShard;
+    // Benchmark-affine placement: a benchmark's shards land on one worker
+    // (stealing still rebalances), so the worker-local analyzer inside
+    // AnalyzeShard actually gets reused across them at any jobs count.
+    auto Submit = [&](size_t S, bool Requeued) {
+      Pool.submitTo(Shards[S].Bench,
+                    [&RunShard, S, Requeued] { RunShard(S, Requeued); });
+    };
 
+    // Flips benchmark B to traced, once. A trace-free accumulator is
+    // discarded, the fold rewinds, and the shards folded into it are
+    // re-queued; trace-free results parked in Pending are re-queued too.
+    // Traced results -- a still-traced accumulator, parked ones -- stay.
+    // Returns false when another shard flipped B first.
+    auto Flip = [&](size_t B) {
+      BenchFold &Fold = Folds[B];
+      std::lock_guard<std::mutex> Lock(Fold.M);
+      if (Fold.Traced.load(std::memory_order_relaxed))
+        return false;
+      Fold.Traced.store(true, std::memory_order_release);
+      if (Fold.Stripped) {
+        for (size_t Idx = Cfg.ShardBegin; Idx < Fold.NextIndex; ++Idx)
+          Submit(Fold.FirstShard + (Idx - Cfg.ShardBegin), true);
+        Fold.NextIndex = Cfg.ShardBegin;
+        Fold.Stripped = false;
+        BenchmarkResult &BR = Out.Benchmarks[B];
+        keepProfilerCost(Fold.DiscardedCost, BR.Records);
+        BR.Records = AnalysisResult();
+        BR.Records.Ranges = Cfg.Analysis.Ranges;
+        BR.Records.EquivDepth = Cfg.Analysis.EquivDepth;
+        BR.Shards = 0;
+        BR.Runs = 0;
+      }
+      for (auto It = Fold.Pending.begin(); It != Fold.Pending.end();) {
+        if (!It->second.traceFree()) {
+          ++It;
+          continue;
+        }
+        Submit(Fold.FirstShard + (It->first - Cfg.ShardBegin), true);
+        keepProfilerCost(Fold.DiscardedCost, It->second);
+        It = Fold.Pending.erase(It);
+      }
+      return true;
+    };
+
+    RunShard = [&](size_t S, bool Requeued) {
+      const Shard &Sh = Shards[S];
+      const SweepSource &Src = Sources[Sh.Bench];
+      BenchFold &Fold = Folds[Sh.Bench];
+      // Confirm tier, benchmark cleared by phase 2a: no probe, no
+      // analysis, no store -- fold an empty shard so the layout's
+      // shard/run accounting (and the emitted document set) stays
+      // complete.
+      const bool Cleared = !BenchSuspect[Sh.Bench];
+      std::string SpanArgs =
+          trace::enabled()
+              ? format("{\"bench\":%zu,\"shard\":%zu,\"runs\":%zu}", Sh.Bench,
+                       Sh.Index, Sh.End - Sh.Begin)
+              : std::string();
+      std::string EvArgs =
+          events::enabled()
+              ? format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu", Sh.Bench,
+                       Sh.Index, Sh.End - Sh.Begin)
+              : std::string();
+      ResultCache::ShardKey Key;
+      if (RC && !Cleared) {
+        Key.CoreIdentity = Identities[Sh.Bench];
+        Key.DerivedSeed = Seeds[Sh.Bench];
+        Key.BenchIndex = Sh.Bench;
+        Key.ShardIndex = Sh.Index;
+        Key.RunBegin = Sh.Begin;
+        Key.RunEnd = Sh.End;
+      }
+
+      // Whether this shard already produced a trace-free result this
+      // sweep; whether its next traced analysis is a replay (the result
+      // had been folded or parked before another shard flipped the
+      // benchmark -- the flipping shard's own traced rerun is the flip's
+      // cost, not a replay); and whether it has been counted as done.
+      // (A re-queued shard that had come traced from the cache is taken
+      // from the cache again.)
+      bool HadTraceFree = Requeued, Replay = Requeued, Counted = Requeued;
+      for (;;) {
+        const bool TraceFree =
+            !Cleared && !Fold.Traced.load(std::memory_order_acquire);
         AnalysisResult Result;
         bool FromCache = false;
         if (RC && !Cleared) {
           trace::Span ProbeSpan("shard.cache_probe", "engine", SpanArgs);
           metrics::ScopedTimer ProbeTimer(TProbe);
-          FromCache = RC->lookup(Key, Result);
+          FromCache = RC->lookup(Key, Result, /*AcceptTraceFree=*/TraceFree);
         }
-        if (Cleared) {
-          // Nothing to do: Result stays empty.
-        } else if (FromCache) {
-          ++Cached;
-          MShardsCached.add(1);
-          if (events::enabled())
-            events::emit("shard.cache_hit", EvArgs);
-        } else {
+        const bool Analyze = !Cleared && !FromCache;
+        if (Analyze) {
           // Limb-traffic deltas bracket the analysis on this worker
           // thread (the counters are thread-local), so the sum over
           // shards is the sweep's total allocator activity.
           uint64_t Heap0 = limballoc::heapAllocs();
           uint64_t Hits0 = limballoc::cacheHits();
+          ShardOutcome O;
           {
             trace::Span AnalyzeSpan("shard.analyze", "engine", SpanArgs);
             metrics::ScopedTimer AnalyzeTimer(TAnalyze);
-            if (Cfg.Tier == TierMode::Fast) {
-              FastOutcome FO = Sources[Sh.Bench].FastShard(
-                  RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End);
-              Result = std::move(FO.Result);
-              Tier0Runs += FO.Tier0Runs;
-              Tier0Ops += FO.Tier0Ops;
-              EscalatedRuns += FO.EscalatedRuns;
-              MTier0Runs.add(FO.Tier0Runs);
-              MTier0Ops.add(FO.Tier0Ops);
-              MTierEscalations.add(FO.EscalatedRuns);
-              if (FO.EscalatedRuns > 0 && events::enabled())
-                events::emit(
-                    "shard.escalated",
-                    EvArgs + format(",\"escalated\":%llu",
-                                    static_cast<unsigned long long>(
-                                        FO.EscalatedRuns)));
-            } else {
-              Result = Sources[Sh.Bench].AnalyzeShard(RunId, Inputs[Sh.Bench],
-                                                      Sh.Begin, Sh.End);
-              if (Cfg.Tier == TierMode::Confirm) {
-                // Every run of a suspect benchmark replays under the full
-                // shadow: that is the escalation cost of this tier.
-                EscalatedRuns += Sh.End - Sh.Begin;
-                MTierEscalations.add(Sh.End - Sh.Begin);
-                if (events::enabled())
-                  events::emit("shard.escalated",
-                               EvArgs +
-                                   format(",\"escalated\":%zu",
-                                          Sh.End - Sh.Begin));
-              }
-            }
+            O = Src.AnalyzeShard(RunId, Inputs[Sh.Bench], Sh.Begin, Sh.End,
+                                 TraceFree);
+          }
+          Result = std::move(O.Result);
+          // Tier accounting counts each shard's runs once: a traced
+          // replay re-executes the same escalations.
+          if (HadTraceFree) {
+            // Counted by the shard's trace-free analysis.
+          } else if (Cfg.Tier == TierMode::Fast) {
+            Tier0Runs += O.Tier0Runs;
+            Tier0Ops += O.Tier0Ops;
+            EscalatedRuns += O.EscalatedRuns;
+            MTier0Runs.add(O.Tier0Runs);
+            MTier0Ops.add(O.Tier0Ops);
+            MTierEscalations.add(O.EscalatedRuns);
+            if (O.EscalatedRuns > 0 && events::enabled())
+              events::emit("shard.escalated",
+                           EvArgs + format(",\"escalated\":%llu",
+                                           static_cast<unsigned long long>(
+                                               O.EscalatedRuns)));
+          } else if (Cfg.Tier == TierMode::Confirm) {
+            // Every run of a suspect benchmark replays under the full
+            // shadow: that is the escalation cost of this tier.
+            EscalatedRuns += Sh.End - Sh.Begin;
+            MTierEscalations.add(Sh.End - Sh.Begin);
+            if (events::enabled())
+              events::emit("shard.escalated",
+                           EvArgs + format(",\"escalated\":%zu",
+                                           Sh.End - Sh.Begin));
           }
           uint64_t HeapD = limballoc::heapAllocs() - Heap0;
           uint64_t HitsD = limballoc::cacheHits() - Hits0;
@@ -433,15 +531,50 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           LimbHits += HitsD;
           MLimbHeap.add(HeapD);
           MLimbHits.add(HitsD);
-          ++Analyzed;
-          MShardsAnalyzed.add(1);
-          if (events::enabled())
-            events::emit("shard.analyzed", EvArgs);
-          if (RC)
-            RC->store(Key, Sources[Sh.Bench].Name, Result);
+          TraceNodes += O.TraceNodes;
+          Fold.TraceNodes += O.TraceNodes;
+          MTraceNodes.add(O.TraceNodes);
+          if (TraceFree) {
+            ++TraceFreeShards;
+            MTraceFree.add(1);
+          } else if (Replay) {
+            ++ReplayedShards;
+            MReplayed.add(1);
+            if (events::enabled())
+              events::emit("shard.replayed", EvArgs);
+          }
         }
-        MShardsDone.add(1);
-        MRuns.add(Sh.End - Sh.Begin);
+        // The flip happens before a trace-free result is stored or
+        // emitted, so neither ever carries a root cause. A traced cache
+        // hit flips its benchmark too, but is usable as it is.
+        if (TraceFree && Result.namesRootCause()) {
+          // Losing the flip to a concurrent shard makes the rerun a replay.
+          Replay |= !Flip(Sh.Bench);
+          if (Result.traceFree()) {
+            HadTraceFree = true;
+            std::lock_guard<std::mutex> Lock(Fold.M);
+            keepProfilerCost(Fold.DiscardedCost, Result);
+            continue;
+          }
+        }
+        if (Analyze && RC)
+          RC->store(Key, Src.Name, Result);
+        if (!Counted) {
+          Counted = true;
+          if (Analyze) {
+            ++Analyzed;
+            MShardsAnalyzed.add(1);
+            if (events::enabled())
+              events::emit("shard.analyzed", EvArgs);
+          } else if (FromCache) {
+            ++Cached;
+            MShardsCached.add(1);
+            if (events::enabled())
+              events::emit("shard.cache_hit", EvArgs);
+          }
+          MShardsDone.add(1);
+          MRuns.add(Sh.End - Sh.Begin);
+        }
         if (!Cfg.EmitShardDir.empty()) {
           const bool Bin = Cfg.WireFormat == WireEncoding::Binary;
           std::string Name = format(Bin ? "shard-b%05llu-s%05llu.hgb"
@@ -449,11 +582,10 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
                                     static_cast<unsigned long long>(Sh.Bench),
                                     static_cast<unsigned long long>(Sh.Index));
           std::string Doc =
-              Bin ? renderShardBinary(CfgHash, Sources[Sh.Bench].Name,
-                                      Sh.Bench, Sh.Index, Sh.Begin, Sh.End,
-                                      Result)
-                  : renderShardJson(CfgHash, Sources[Sh.Bench].Name, Sh.Bench,
-                                    Sh.Index, Sh.Begin, Sh.End, Result);
+              Bin ? renderShardBinary(CfgHash, Src.Name, Sh.Bench, Sh.Index,
+                                      Sh.Begin, Sh.End, Result)
+                  : renderShardJson(CfgHash, Src.Name, Sh.Bench, Sh.Index,
+                                    Sh.Begin, Sh.End, Result);
           if (!writeFileAtomic(Cfg.EmitShardDir + "/" + Name, Doc))
             ++EmitFailed;
         }
@@ -461,18 +593,34 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         // Streaming in-order fold. The arriving shard parks in Pending,
         // then everything contiguous from NextIndex folds in; shard sizes
         // are recovered from the layout (End - Begin == ShardSize except
-        // for the tail shard).
-        BenchFold &Fold = Folds[Sh.Bench];
+        // for the tail shard). The accumulator never mixes the two kinds
+        // of records: an untraced benchmark's stays traced while only
+        // traced cache hits arrive, and the first trace-free result
+        // strips it and every later arrival.
         BenchmarkResult &BR = Out.Benchmarks[Sh.Bench];
-        size_t Step = static_cast<size_t>(Cfg.ShardSize);
         size_t Total = Inputs[Sh.Bench].size();
         trace::Span ReduceSpan("shard.reduce", "engine", SpanArgs);
         metrics::ScopedTimer ReduceTimer(TReduce);
-        std::lock_guard<std::mutex> Lock(Fold.M);
+        std::unique_lock<std::mutex> Lock(Fold.M);
+        const bool Traced = Fold.Traced.load(std::memory_order_relaxed);
+        if (Traced && Result.traceFree()) {
+          // Another shard flipped the benchmark while this one ran.
+          keepProfilerCost(Fold.DiscardedCost, Result);
+          Lock.unlock();
+          HadTraceFree = Replay = true;
+          continue;
+        }
         Fold.Pending.emplace(Sh.Index, std::move(Result));
         for (auto It = Fold.Pending.find(Fold.NextIndex);
              It != Fold.Pending.end();
              It = Fold.Pending.find(Fold.NextIndex)) {
+          size_t Slot = Fold.NextIndex - Cfg.ShardBegin;
+          if (!Traced && !Fold.Stripped && It->second.traceFree()) {
+            BR.Records.dropTraces();
+            Fold.Stripped = true;
+          }
+          if (Fold.Stripped)
+            It->second.dropTraces();
           if (BR.Shards == 0)
             BR.Records = std::move(It->second);
           else
@@ -481,13 +629,28 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           size_t Lo = Fold.NextIndex * Step;
           BR.Runs += std::min(Lo + Step, Total) - Lo;
           Fold.Pending.erase(It);
-          if (events::enabled())
-            events::emit("shard.reduced",
-                         format("\"bench\":%zu,\"shard\":%zu", Sh.Bench,
-                                Fold.NextIndex));
+          // Each shard surfaces one reduce; a refold after a flip is
+          // visible as its shard.replayed event instead.
+          if (!Fold.Reduced[Slot]) {
+            Fold.Reduced[Slot] = 1;
+            if (events::enabled())
+              events::emit("shard.reduced",
+                           format("\"bench\":%zu,\"shard\":%zu", Sh.Bench,
+                                  Fold.NextIndex));
+          }
           ++Fold.NextIndex;
         }
-      });
+        break;
+      }
+    };
+
+    for (size_t S = 0; S < Shards.size(); ++S) {
+      if (events::enabled())
+        events::emit("shard.queued",
+                     format("\"bench\":%zu,\"shard\":%zu,\"runs\":%zu",
+                            Shards[S].Bench, Shards[S].Index,
+                            Shards[S].End - Shards[S].Begin));
+      Submit(S, false);
     }
     Pool.waitAll();
     ThreadPool::PoolStats PS = Pool.stats();
@@ -507,11 +670,21 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 
   // Phase 3 (serial, cheap): build the per-benchmark reports from the
   // merged records and collect the statistics.
-  for (BenchmarkResult &BR : Out.Benchmarks) {
+  for (size_t B = 0; B < Sources.size(); ++B) {
+    BenchmarkResult &BR = Out.Benchmarks[B];
+    for (const auto &[PC, Cost] : Folds[B].DiscardedCost) {
+      auto It = BR.Records.Ops.find(PC);
+      if (It != BR.Records.Ops.end())
+        addProfilerCost(It->second, Cost);
+    }
     BR.Rep = buildReport(BR.Records);
+    BR.Traced = Folds[B].Traced.load(std::memory_order_relaxed);
+    BR.TraceNodes = Folds[B].TraceNodes.load(std::memory_order_relaxed);
     Out.Stats.Shards += BR.Shards;
     Out.Stats.Runs += BR.Runs;
+    Out.Stats.TracedBenchmarks += BR.Traced ? 1 : 0;
   }
+  MTracedBenchmarks.add(Out.Stats.TracedBenchmarks);
   Out.Stats.Benchmarks = Sources.size();
   Out.Stats.AnalyzedShards = Analyzed.load();
   Out.Stats.CachedShards = Cached.load();
@@ -521,6 +694,9 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   Out.Stats.Tier0Runs = Tier0Runs.load();
   Out.Stats.Tier0Ops = Tier0Ops.load();
   Out.Stats.EscalatedRuns = EscalatedRuns.load();
+  Out.Stats.TraceFreeShards = TraceFreeShards.load();
+  Out.Stats.ReplayedShards = ReplayedShards.load();
+  Out.Stats.TraceNodes = TraceNodes.load();
   if (Cfg.Tier == TierMode::Confirm) {
     for (size_t B = 0; B < Sources.size(); ++B)
       if (BenchSuspect[B])
@@ -584,29 +760,36 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
 /// only meaningful within one run() (ProgramCache never evicts during
 /// it, and caller-owned kernel vectors outlive it); the RunId in the
 /// cache makes a recycled address harmless even if worker threads ever
-/// outlive a run. One thread_local cache exists per analyzer type.
+/// outlive a run. One thread_local cache exists per analyzer type; a
+/// trace-free analyzer is never reused for a traced shard or vice versa.
 template <typename Analyzer, typename MakeFn, typename RunOneFn>
-static AnalysisResult
-analyzeShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
-                        RunOneFn RunOne,
+static ShardOutcome
+analyzeShardWorkerLocal(uint64_t RunId, const void *Key, bool TraceFree,
+                        MakeFn Make, RunOneFn RunOne,
                         const std::vector<std::vector<double>> &Inputs,
                         size_t Begin, size_t End) {
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
+    bool TraceFree = false;
     std::unique_ptr<Analyzer> A;
   };
   thread_local Worker W;
-  if (W.Run == RunId && W.Key == Key && W.A) {
+  if (W.Run == RunId && W.Key == Key && W.TraceFree == TraceFree && W.A) {
     W.A->reset();
   } else {
     W.A = Make();
     W.Run = RunId;
     W.Key = Key;
+    W.TraceFree = TraceFree;
   }
+  ShardOutcome Out;
+  size_t Nodes0 = W.A->stats().TraceNodesAllocated;
   for (size_t I = Begin; I < End; ++I)
     RunOne(*W.A, Inputs[I]);
-  return W.A->snapshot();
+  Out.TraceNodes = W.A->stats().TraceNodesAllocated - Nodes0;
+  Out.Result = W.A->snapshot();
+  return Out;
 }
 
 /// Tier-0 sibling of analyzeShardWorkerLocal: a worker-local
@@ -676,19 +859,21 @@ tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
 /// across worker counts like everything else in the engine.
 template <typename Analyzer, typename MakeT0Fn, typename MakeFullFn,
           typename RunOneFn>
-static FastOutcome
-fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
-                     MakeFullFn MakeFull, RunOneFn RunOne,
+static ShardOutcome
+fastShardWorkerLocal(uint64_t RunId, const void *Key, bool TraceFree,
+                     MakeT0Fn MakeT0, MakeFullFn MakeFull, RunOneFn RunOne,
                      const std::vector<std::vector<double>> &Inputs,
                      size_t Begin, size_t End, unsigned Lanes = 1) {
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
+    bool TraceFree = false;
     std::unique_ptr<Analyzer> T0;
     std::unique_ptr<Analyzer> Full;
   };
   thread_local Worker W;
-  if (W.Run == RunId && W.Key == Key && W.T0 && W.Full) {
+  if (W.Run == RunId && W.Key == Key && W.TraceFree == TraceFree && W.T0 &&
+      W.Full) {
     W.T0->reset();
     W.Full->reset();
   } else {
@@ -696,9 +881,11 @@ fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
     W.Full = MakeFull();
     W.Run = RunId;
     W.Key = Key;
+    W.TraceFree = TraceFree;
   }
-  FastOutcome Out;
+  ShardOutcome Out;
   uint64_t Ops0 = W.T0->stats().ShadowOpsExecuted;
+  size_t Nodes0 = W.Full->stats().TraceNodesAllocated;
   if (Lanes <= 1) {
     for (size_t I = Begin; I < End; ++I) {
       RunOne(*W.T0, Inputs[I]);
@@ -726,16 +913,18 @@ fastShardWorkerLocal(uint64_t RunId, const void *Key, MakeT0Fn MakeT0,
     }
   }
   Out.Tier0Ops = W.T0->stats().ShadowOpsExecuted - Ops0;
+  Out.TraceNodes = W.Full->stats().TraceNodesAllocated - Nodes0;
   Out.Result = W.Full->snapshot();
   return Out;
 }
 
 /// Wraps one FPCore core as a sweep source: analysis runs a worker-local
-/// Herbgrind instance over the compiled program. \p Lanes batches the
-/// tier-0 runs of the confirm and fast tiers.
+/// Herbgrind instance over the compiled program (\p Fast: the fast tier's
+/// pair). \p Lanes batches the tier-0 runs of the confirm and fast tiers.
 static SweepSource coreSource(const fpcore::Core &C,
                               fpcore::ProgramCache &Cache,
-                              const AnalysisConfig &ACfg, unsigned Lanes) {
+                              const AnalysisConfig &ACfg, bool Fast,
+                              unsigned Lanes) {
   SweepSource Src;
   Src.Name = C.Name;
   std::vector<std::pair<double, double>> Ranges;
@@ -746,17 +935,24 @@ static SweepSource coreSource(const fpcore::Core &C,
   auto RunOne = [](Herbgrind &HG, const std::vector<double> &In) {
     HG.runOnInput(In);
   };
-  Src.AnalyzeShard = [&C, &Cache, &ACfg, RunOne](
+  AnalysisConfig FreeCfg = ACfg, PCfg = ACfg;
+  FreeCfg.TraceFree = true;
+  PCfg.PredicateOnly = true;
+  Src.AnalyzeShard = [&C, &Cache, &ACfg, FreeCfg, PCfg, Fast, RunOne, Lanes](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
-                         size_t Begin, size_t End) {
+                         size_t Begin, size_t End, bool TraceFree) {
     const Program &P = Cache.get(C);
-    return analyzeShardWorkerLocal<Herbgrind>(
-        RunId, &P, [&] { return std::make_unique<Herbgrind>(P, ACfg); },
-        RunOne, Inputs, Begin, End);
+    const AnalysisConfig &A = TraceFree ? FreeCfg : ACfg;
+    auto Make = [&] { return std::make_unique<Herbgrind>(P, A); };
+    if (Fast)
+      return fastShardWorkerLocal<Herbgrind>(
+          RunId, &P, TraceFree,
+          [&] { return std::make_unique<Herbgrind>(P, PCfg); }, Make, RunOne,
+          Inputs, Begin, End, Lanes);
+    return analyzeShardWorkerLocal<Herbgrind>(RunId, &P, TraceFree, Make,
+                                              RunOne, Inputs, Begin, End);
   };
-  AnalysisConfig PCfg = ACfg;
-  PCfg.PredicateOnly = true;
   Src.Tier0Shard = [&C, &Cache, PCfg, RunOne, Lanes](
                        uint64_t RunId,
                        const std::vector<std::vector<double>> &Inputs,
@@ -766,16 +962,6 @@ static SweepSource coreSource(const fpcore::Core &C,
         RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
         RunOne, Inputs, Begin, End, Lanes);
   };
-  Src.FastShard = [&C, &Cache, &ACfg, PCfg, RunOne, Lanes](
-                      uint64_t RunId,
-                      const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End) {
-    const Program &P = Cache.get(C);
-    return fastShardWorkerLocal<Herbgrind>(
-        RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
-        [&] { return std::make_unique<Herbgrind>(P, ACfg); }, RunOne, Inputs,
-        Begin, End, Lanes);
-  };
   return Src;
 }
 
@@ -784,7 +970,7 @@ static SweepSource coreSource(const fpcore::Core &C,
 /// content-hashed op identities are what keep this mergeable and cacheable
 /// exactly like the interpreter path.
 static SweepSource kernelSource(const native::Kernel &K,
-                                const AnalysisConfig &ACfg) {
+                                const AnalysisConfig &ACfg, bool Fast) {
   SweepSource Src;
   Src.Name = K.Name;
   for (const native::Kernel::InputRange &R : K.Inputs)
@@ -793,16 +979,23 @@ static SweepSource kernelSource(const native::Kernel &K,
   auto RunOne = [&K](native::Context &C, const std::vector<double> &In) {
     C.run(K, In);
   };
-  Src.AnalyzeShard = [&ACfg, RunOne, &K](
+  AnalysisConfig FreeCfg = ACfg, PCfg = ACfg;
+  FreeCfg.TraceFree = true;
+  PCfg.PredicateOnly = true;
+  Src.AnalyzeShard = [&ACfg, FreeCfg, PCfg, Fast, RunOne, &K](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
-                         size_t Begin, size_t End) {
+                         size_t Begin, size_t End, bool TraceFree) {
+    const AnalysisConfig &A = TraceFree ? FreeCfg : ACfg;
+    auto Make = [&] { return std::make_unique<native::Context>(A); };
+    if (Fast)
+      return fastShardWorkerLocal<native::Context>(
+          RunId, &K, TraceFree,
+          [&] { return std::make_unique<native::Context>(PCfg); }, Make,
+          RunOne, Inputs, Begin, End);
     return analyzeShardWorkerLocal<native::Context>(
-        RunId, &K, [&] { return std::make_unique<native::Context>(ACfg); },
-        RunOne, Inputs, Begin, End);
+        RunId, &K, TraceFree, Make, RunOne, Inputs, Begin, End);
   };
-  AnalysisConfig PCfg = ACfg;
-  PCfg.PredicateOnly = true;
   Src.Tier0Shard = [PCfg, RunOne, &K](
                        uint64_t RunId,
                        const std::vector<std::vector<double>> &Inputs,
@@ -810,15 +1003,6 @@ static SweepSource kernelSource(const native::Kernel &K,
     return tier0ShardWorkerLocal<native::Context>(
         RunId, &K, [&] { return std::make_unique<native::Context>(PCfg); },
         RunOne, Inputs, Begin, End);
-  };
-  Src.FastShard = [&ACfg, PCfg, RunOne, &K](
-                      uint64_t RunId,
-                      const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End) {
-    return fastShardWorkerLocal<native::Context>(
-        RunId, &K, [&] { return std::make_unique<native::Context>(PCfg); },
-        [&] { return std::make_unique<native::Context>(ACfg); }, RunOne,
-        Inputs, Begin, End);
   };
   return Src;
 }
@@ -836,10 +1020,12 @@ BatchResult Engine::run(const std::vector<fpcore::Core> &Cores,
   size_t CacheHits0 = Cache.hits(), CacheMisses0 = Cache.misses();
   std::vector<SweepSource> Sources;
   Sources.reserve(Cores.size() + Kernels.size());
+  const bool Fast = Cfg.Tier == TierMode::Fast;
   for (const fpcore::Core &C : Cores)
-    Sources.push_back(coreSource(C, Cache, Cfg.Analysis, Cfg.BatchLanes));
+    Sources.push_back(
+        coreSource(C, Cache, Cfg.Analysis, Fast, Cfg.BatchLanes));
   for (const native::Kernel &K : Kernels)
-    Sources.push_back(kernelSource(K, Cfg.Analysis));
+    Sources.push_back(kernelSource(K, Cfg.Analysis, Fast));
   BatchResult Out = runSweepImpl(Cfg, RC.get(), Sources);
   Out.Stats.CacheHits = Cache.hits() - CacheHits0;
   Out.Stats.CacheMisses = Cache.misses() - CacheMisses0;
@@ -940,8 +1126,32 @@ bool herbgrind::engine::mergeShards(std::vector<ShardDoc> Docs,
                           Docs[I].Benchmark.c_str(),
                           static_cast<unsigned long long>(Docs[I].ShardIndex),
                           static_cast<unsigned long long>(Docs[I].RunBegin));
+    // The ladder's invariant: the benchmark reports a root cause exactly
+    // when one of its documents names one, and then every document must
+    // be traced. Without a root cause, traced and trace-free documents
+    // fold alike once the traced ones drop their expressions.
+    bool RootCause = false;
+    size_t TraceFree = J;
+    for (size_t K = I; K < J; ++K) {
+      RootCause |= Docs[K].Result.namesRootCause();
+      if (TraceFree == J && Docs[K].Result.traceFree())
+        TraceFree = K;
+    }
+    if (RootCause && TraceFree != J) {
+      Err = format("'%s' reports a root cause, but shard %llu is a "
+                   "trace-free document with no expressions to render "
+                   "(rerun that shard traced, e.g. as a --shard-range "
+                   "slice)",
+                   Docs[I].Benchmark.c_str(),
+                   static_cast<unsigned long long>(Docs[TraceFree].ShardIndex));
+      return false;
+    }
+    if (TraceFree != J)
+      for (size_t K = I; K < J; ++K)
+        Docs[K].Result.dropTraces();
     BenchmarkResult BR;
     BR.Name = Docs[I].Benchmark;
+    BR.Traced = TraceFree == J;
     for (size_t K = I; K < J; ++K) {
       if (K == I)
         BR.Records = std::move(Docs[K].Result);

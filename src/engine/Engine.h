@@ -28,6 +28,12 @@
 /// off-machine merging; `mergeShards` folds them back into a BatchResult
 /// byte-identical to a single-machine sweep's.
 ///
+/// Under every tier the full shadow runs as a trace ladder: a sweep that
+/// covers the whole layout analyzes each benchmark trace-free first and
+/// replays it traced only once one of its shards' records names a root
+/// cause -- the only thing a report renders expressions for
+/// (docs/ARCHITECTURE.md, "Trace-free pass and traced replay").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HERBGRIND_ENGINE_ENGINE_H
@@ -140,6 +146,12 @@ struct BenchmarkResult {
   Report Rep;             ///< Built from the merged records.
   uint64_t Shards = 0;    ///< Shards folded in (executed ones only).
   uint64_t Runs = 0;      ///< Sampled inputs analyzed or loaded from cache.
+  /// Telemetry, never rendered: whether the trace ladder ran this
+  /// benchmark traced (it reports a root cause, or the sweep was a slice;
+  /// otherwise Records are trace-free unless every shard came traced
+  /// from the cache), and the trace nodes its shard analyses allocated.
+  bool Traced = false;
+  uint64_t TraceNodes = 0;
 };
 
 /// Aggregate run statistics (informational; never part of deterministic
@@ -173,6 +185,15 @@ struct EngineStats {
   uint64_t ConfirmedBenchmarks = 0; ///< Confirm mode: benchmarks whose
                                     ///< tier-0 verdict forced the full
                                     ///< confirmation pass.
+  uint64_t TraceFreeShards = 0;  ///< Shard analyses run trace-free.
+  uint64_t ReplayedShards = 0;   ///< Traced re-analyses of shards whose
+                                 ///< trace-free result was folded or
+                                 ///< parked before their benchmark
+                                 ///< flipped (the flipping shard's own
+                                 ///< rerun is not counted).
+  uint64_t TracedBenchmarks = 0; ///< Benchmarks the ladder ran traced.
+  uint64_t TraceNodes = 0;       ///< Trace nodes allocated by all shard
+                                 ///< analyses (replays included).
   uint64_t PoolTasks = 0;         ///< Thread-pool tasks executed.
   uint64_t PoolSteals = 0;        ///< Tasks taken from another worker.
   uint64_t PoolMaxQueueDepth = 0; ///< Deepest any worker queue ever got.
@@ -252,7 +273,9 @@ private:
 /// sweep's report byte-identically.
 ///
 /// Fails (returns false, sets \p Err) on an empty input, mismatched
-/// config hashes, inconsistent benchmark identities, or duplicate shards.
+/// config hashes, inconsistent benchmark identities, duplicate shards, or
+/// a benchmark whose documents name a root cause but include a
+/// trace-free one (it has no expression to render; rerun it traced).
 /// Gaps in shard coverage are permitted -- a partial merge is a correct
 /// report over the shards present -- but are described in \p Warnings
 /// when provided.

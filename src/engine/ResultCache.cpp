@@ -146,7 +146,8 @@ std::string ResultCache::entryPath(const ShardKey &Key) const {
   return entryBase(Key) + shardSuffix(Enc);
 }
 
-bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out) {
+bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out,
+                         bool AcceptTraceFree) {
   // The configured encoding's file first, then the other's: both carry
   // bit-identical records under the same key (WireFormat is absent from
   // the config hash), so a JSON-warmed cache satisfies a binary sweep
@@ -165,6 +166,10 @@ bool ResultCache::lookup(const ShardKey &Key, AnalysisResult &Out) {
         Doc.RunEnd != Key.RunEnd)
       // Corrupt or foreign entry: treat as absent; a fresh store will
       // overwrite it.
+      continue;
+    // A caller that needs expressions cannot use a trace-free entry; its
+    // traced replay will overwrite it.
+    if (!AcceptTraceFree && Doc.Result.traceFree())
       continue;
     Out = std::move(Doc.Result);
     ++Hits;

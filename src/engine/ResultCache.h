@@ -97,8 +97,11 @@ public:
   /// sample range) is a miss. Both the JSON and the HGB entry file are
   /// consulted (format sniffed from content, whatever the extension
   /// claims), so sweeps configured for different encodings warm each
-  /// other.
-  bool lookup(const ShardKey &Key, AnalysisResult &Out);
+  /// other. A trace-free entry (ShardDoc's "traceFree" mark) is a miss
+  /// unless \p AcceptTraceFree: only a benchmark the engine still runs
+  /// trace-free can use one; a traced entry serves every lookup.
+  bool lookup(const ShardKey &Key, AnalysisResult &Out,
+              bool AcceptTraceFree);
 
   /// Persists a freshly analyzed shard. IO failures are counted but
   /// otherwise ignored -- the cache is an accelerator, never a

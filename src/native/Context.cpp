@@ -211,15 +211,20 @@ uint32_t Context::outputSite() {
 void Context::retainShadow(ShadowValue *SV) { Shadow->retain(SV); }
 void Context::releaseShadow(ShadowValue *SV) { Shadow->release(SV); }
 
+ShadowValue *Context::leafShadow(double V) {
+  // The trace-free pass builds no trace nodes, leaves included.
+  return Shadow->create(BigFloat::fromDouble(V, Cfg.PrecisionBits),
+                        Cfg.TraceFree ? nullptr : Arena.leaf(V), Sets.empty(),
+                        ValueType::F64);
+}
+
 ShadowValue *Context::shadowOf(const Real &R, ShadowValue *&Ephemeral) {
   Ephemeral = nullptr;
   if (R.SV && R.Ctx == this)
     return R.SV;
   // Lazy shadowing (Section 6): a value with no recorded float provenance
   // becomes a leaf made from its concrete bits.
-  ShadowValue *SV =
-      Shadow->create(BigFloat::fromDouble(R.Val, Cfg.PrecisionBits),
-                     Arena.leaf(R.Val), Sets.empty(), ValueType::F64);
+  ShadowValue *SV = leafShadow(R.Val);
   if (!R.Ctx) {
     // Install on the Real so later uses share one leaf, exactly like the
     // interpreter installing a lazy shadow on its temporary.
@@ -254,8 +259,7 @@ Real Context::input(size_t I, double V) {
   R.Ctx = this;
   R.SV = Cfg.PredicateOnly
              ? Shadow->createPredicate(0.0, 0.0, ValueType::F64)
-             : Shadow->create(BigFloat::fromDouble(V, Cfg.PrecisionBits),
-                              Arena.leaf(V), Sets.empty(), ValueType::F64);
+             : leafShadow(V);
   return R;
 }
 

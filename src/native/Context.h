@@ -222,6 +222,10 @@ private:
   /// only the concrete bits.
   ShadowValue *shadowOf(const Real &R, ShadowValue *&Ephemeral);
 
+  /// A fresh provenance-free shadow of the concrete double \p V (one
+  /// reference to the caller).
+  ShadowValue *leafShadow(double V);
+
   /// One scalar float op: Real.cpp's operators funnel here.
   Real applyOp(Opcode Op, const Real *const *Args, unsigned N);
   /// One float comparison: records a comparison spot, returns the float

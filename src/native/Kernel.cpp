@@ -14,8 +14,8 @@ using namespace herbgrind::native;
 
 std::string Kernel::identity() const {
   if (!Identity.empty())
-    return "native:" + Identity;
-  std::string Id = "native:" + Name;
+    return "native2:" + Identity;
+  std::string Id = "native2:" + Name;
   for (const InputRange &R : Inputs)
     Id += format("|[%s,%s]", formatDoubleShortest(R.Lo).c_str(),
                  formatDoubleShortest(R.Hi).c_str());

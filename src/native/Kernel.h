@@ -58,8 +58,10 @@ struct Kernel {
   /// turns nondeterministic.
   std::function<void(Context &, const double *Inputs, size_t N)> Fn;
 
-  /// The effective cache identity ("native:" prefixed so it can never
-  /// collide with FPCore program text).
+  /// The effective cache identity ("native2:" prefixed so it can never
+  /// collide with FPCore program text; the "2" retires entries keyed
+  /// "native:", whose records carried absolute source paths from builds
+  /// without -fmacro-prefix-map, so they miss instead of serving).
   std::string identity() const;
 };
 

@@ -31,7 +31,7 @@ void ShadowState::reset() {
 
 ShadowValue *ShadowState::create(BigFloat Real, TraceNode *Trace,
                                  const InflSet *Infl, ValueType Ty) {
-  assert(Trace && Infl && "shadow value needs trace and influences");
+  assert(Infl && "shadow value needs influences");
   assert((Ty == ValueType::F64 || Ty == ValueType::F32) &&
          "only scalar floats are shadowed");
   ShadowValue *SV = ValuePool.create();
@@ -82,9 +82,10 @@ ShadowValue *ShadowState::share(ShadowValue *SV) {
     return SV;
   }
   // Sharing disabled (optimization ablation): deep-copy the shadow value.
-  if (!SV->Trace)
+  if (!SV->Influences)
     return createPredicate(SV->PredDelta, SV->PredNoise, SV->Ty);
-  Arena.retain(SV->Trace);
+  if (SV->Trace)
+    Arena.retain(SV->Trace);
   return create(SV->Real, SV->Trace, SV->Influences, SV->Ty);
 }
 

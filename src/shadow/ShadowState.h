@@ -39,14 +39,15 @@
 namespace herbgrind {
 
 /// One shadowed scalar float value. Two flavours share this struct: the
-/// full 256-bit shadow (Real/Trace/Influences populated) and the tier-0
-/// predicate shadow (Trace == nullptr; only PredDelta/PredNoise are
-/// meaningful, Real is whatever the pool slot last held and must not be
-/// read).
+/// full 256-bit shadow (Real/Influences populated; Trace too unless the
+/// analysis runs trace-free) and the tier-0 predicate shadow (Influences
+/// == nullptr; only PredDelta/PredNoise are meaningful, Real is whatever
+/// the pool slot last held and must not be read).
 struct ShadowValue {
   BigFloat Real;
   TraceNode *Trace = nullptr;          ///< One reference owned; null in
-                                       ///< predicate-only values.
+                                       ///< predicate-only and trace-free
+                                       ///< values.
   const InflSet *Influences = nullptr; ///< Interned; not owned.
   double PredDelta = 0.0; ///< Tier-0 signed estimate of (real - concrete)
                           ///< (predicate values only).
@@ -79,8 +80,9 @@ public:
   /// gate covers shadow values and arithmetic scratch, not these cells.
   void reset();
 
-  /// Creates a shadow value; takes ownership of one reference to \p Trace.
-  /// The caller receives one reference to the result.
+  /// Creates a shadow value; takes ownership of one reference to \p Trace
+  /// (null in the trace-free pass). The caller receives one reference to
+  /// the result.
   ShadowValue *create(BigFloat Real, TraceNode *Trace, const InflSet *Infl,
                       ValueType Ty);
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace herbgrind;
 
@@ -78,4 +79,9 @@ std::string herbgrind::jsonEscape(const std::string &S) {
     }
   }
   return Out;
+}
+
+void herbgrind::fatalError(const std::string &Msg) {
+  std::fprintf(stderr, "herbgrind: fatal: %s\n", Msg.c_str());
+  std::abort();
 }

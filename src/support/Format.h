@@ -34,6 +34,11 @@ std::string join(const std::vector<std::string> &Parts,
 /// backslashes, and control characters).
 std::string jsonEscape(const std::string &S);
 
+/// Prints "herbgrind: fatal: <Msg>" to stderr and aborts, in every build
+/// mode. For broken invariants whose silent continuation would corrupt a
+/// report (an assert would vanish under NDEBUG).
+[[noreturn]] void fatalError(const std::string &Msg);
+
 } // namespace herbgrind
 
 #endif // HERBGRIND_SUPPORT_FORMAT_H

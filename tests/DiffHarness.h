@@ -19,6 +19,7 @@
 #define HERBGRIND_TESTS_DIFFHARNESS_H
 
 #include "engine/Engine.h"
+#include "engine/ResultCache.h"
 #include "fpcore/Compile.h"
 #include "fpcore/FPCore.h"
 #include "native/Context.h"
@@ -27,11 +28,15 @@
 #include "support/Format.h"
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <cassert>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 namespace herbgrind {
 namespace diffharness {
@@ -227,6 +232,82 @@ rootCauseSet(const engine::BatchResult &R) {
       for (const RootCauseReport &RC : S.RootCauses)
         Out.insert({BR.Name, {S.PC, RC.PC}});
   return Out;
+}
+
+/// A scoped temp directory under the system temp root.
+struct ScratchDir {
+  std::string Path;
+  explicit ScratchDir(const std::string &Tag) {
+    Path = (std::filesystem::temp_directory_path() /
+            ("herbgrind-diff-" + Tag + "-" + std::to_string(::getpid())))
+               .string();
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~ScratchDir() {
+    std::error_code Ec;
+    std::filesystem::remove_all(Path, Ec);
+  }
+};
+
+/// Every shard document in \p Dir (emitted shards or cache entries, in
+/// either wire format), parsed, in file-name order. A document that fails
+/// to parse is returned with an empty result and its error in \p Errors.
+inline std::vector<ShardDoc> readShardDocs(const std::string &Dir,
+                                           std::string *Errors = nullptr) {
+  std::vector<std::string> Paths;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    std::string Name = E.path().filename().string();
+    if (Name.rfind("shard-", 0) == 0 ||
+        Name.find(".shard.") != std::string::npos)
+      Paths.push_back(E.path().string());
+  }
+  std::sort(Paths.begin(), Paths.end());
+  std::vector<ShardDoc> Docs;
+  for (const std::string &P : Paths) {
+    std::string Text, Err;
+    ShardDoc D;
+    if ((!engine::readFile(P, Text) || !parseShard(Text, D, Err)) && Errors)
+      *Errors += P + ": " + Err + "\n";
+    Docs.push_back(std::move(D));
+  }
+  return Docs;
+}
+
+/// The traced oracle's documents: \p Cfg's sweep run as two slices (shard
+/// 0, then the rest; JSON, then HGB) emitting into \p Dir. A slice cannot
+/// see the merged verdict, so every shard is analyzed traced.
+inline std::vector<ShardDoc>
+tracedSliceDocs(const std::vector<fpcore::Core> &Cores,
+                const std::vector<native::Kernel> &Kernels,
+                engine::EngineConfig Cfg, const std::string &Dir) {
+  Cfg.CacheDir.clear();
+  engine::EngineConfig A = Cfg, B = Cfg;
+  A.ShardEnd = 1;
+  B.ShardBegin = 1;
+  A.EmitShardDir = B.EmitShardDir = Dir;
+  B.WireFormat = WireEncoding::Binary;
+  engine::Engine(A).run(Cores, Kernels);
+  engine::Engine(B).run(Cores, Kernels);
+  return readShardDocs(Dir);
+}
+
+/// The report the traced oracle folds (mergeShards over the two traced
+/// slices' documents). Confirm tier's oracle is the full tier's: the two
+/// must agree byte for byte, while a confirm slice clears benchmarks by
+/// its own tier-0 pass alone.
+inline std::string tracedOracleJson(const std::vector<fpcore::Core> &Cores,
+                                    const std::vector<native::Kernel> &Kernels,
+                                    engine::EngineConfig Cfg) {
+  if (Cfg.Tier == engine::TierMode::Confirm)
+    Cfg.Tier = engine::TierMode::Full;
+  ScratchDir Dir("oracle");
+  engine::BatchResult Merged;
+  std::string Err;
+  if (!engine::mergeShards(tracedSliceDocs(Cores, Kernels, Cfg, Dir.Path),
+                           Merged, Err))
+    return "mergeShards failed: " + Err;
+  return Merged.renderJson();
 }
 
 } // namespace diffharness

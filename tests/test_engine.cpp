@@ -14,6 +14,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "DiffHarness.h"
+
 #include "engine/Engine.h"
 #include "engine/ThreadPool.h"
 #include "fpcore/Compile.h"
@@ -28,6 +30,7 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <set>
 
 using namespace herbgrind;
 using namespace herbgrind::engine;
@@ -536,14 +539,20 @@ TEST(Engine, ProgramCacheCompilesEachBenchmarkOnce) {
   Cfg.ShardSize = 2; // 4 shards per benchmark
   Cfg.Jobs = 3;
   Engine Eng(Cfg);
+  // One program lookup per shard analysis: every shard once, plus, per
+  // benchmark that reports a root cause, the flipping shard's traced
+  // rerun and the replays of its other shards.
+  auto Analyses = [](const EngineStats &S) {
+    return S.Shards + S.TracedBenchmarks + S.ReplayedShards;
+  };
   BatchResult R = Eng.run(Cores);
   EXPECT_EQ(R.Stats.CacheMisses, Cores.size());
-  EXPECT_EQ(R.Stats.CacheHits, R.Stats.Shards - Cores.size());
+  EXPECT_EQ(R.Stats.CacheHits, Analyses(R.Stats) - Cores.size());
 
-  // A second run over the same cores hits the cache for every shard.
+  // A second run over the same cores hits the cache for every analysis.
   BatchResult R2 = Eng.run(Cores);
   EXPECT_EQ(R2.Stats.CacheMisses, 0u);
-  EXPECT_EQ(R2.Stats.CacheHits, R2.Stats.Shards);
+  EXPECT_EQ(R2.Stats.CacheHits, Analyses(R2.Stats));
 }
 
 TEST(Engine, StatsAndStructureAreConsistent) {
@@ -611,4 +620,284 @@ TEST(ReportMerge, CombinesSpotsAndKeepsStrongestCauses) {
   EXPECT_EQ(A.Spots[0].RootCauses[0].PC, 7u);
   EXPECT_EQ(A.Spots[0].RootCauses[0].Flagged, 9u);
   EXPECT_EQ(A.Spots[1].Loc.File, "other.fpcore");
+}
+
+//===----------------------------------------------------------------------===//
+// The trace ladder: a trace-free pass, traced replay where a root cause is
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+EngineConfig ladderConfig(unsigned Jobs) {
+  EngineConfig Cfg;
+  Cfg.Jobs = Jobs;
+  Cfg.SamplesPerBenchmark = 12;
+  Cfg.ShardSize = 3; // 4 shards per benchmark
+  return Cfg;
+}
+
+/// Every fourth compilable corpus benchmark: a mix of benchmarks with and
+/// without root causes.
+std::vector<fpcore::Core> mixedCorpusSubset() {
+  std::vector<fpcore::Core> Cores;
+  size_t I = 0;
+  for (const fpcore::Core &C : fpcore::corpus())
+    if (fpcore::isCompilable(C) && I++ % 4 == 0)
+      Cores.push_back(C.clone());
+  return Cores;
+}
+
+std::set<uint32_t> rootCauseSet(const AnalysisResult &R) {
+  std::vector<uint32_t> RC = reportedRootCausesFromRecords(R.Ops, R.Spots);
+  return std::set<uint32_t>(RC.begin(), RC.end());
+}
+
+/// Field-by-field agreement of a trace-free run's records with a traced
+/// run's over the same inputs: every counter and statistic equal, and the
+/// trace-free side without expression or input summaries.
+void expectCountersAgree(const std::map<uint32_t, OpRecord> &Traced,
+                         const std::map<uint32_t, SpotRecord> &TracedSpots,
+                         const std::map<uint32_t, OpRecord> &Free,
+                         const std::map<uint32_t, SpotRecord> &FreeSpots,
+                         const std::string &Ctx) {
+  ASSERT_EQ(Free.size(), Traced.size()) << Ctx;
+  for (const auto &[PC, T] : Traced) {
+    ASSERT_TRUE(Free.count(PC)) << Ctx << " pc " << PC;
+    const OpRecord &F = Free.at(PC);
+    std::string OpCtx = Ctx + " pc " + std::to_string(PC);
+    EXPECT_EQ(F.Op, T.Op) << OpCtx;
+    EXPECT_TRUE(F.Loc == T.Loc) << OpCtx;
+    EXPECT_EQ(F.Executions, T.Executions) << OpCtx;
+    EXPECT_EQ(F.Flagged, T.Flagged) << OpCtx;
+    EXPECT_EQ(F.CompensationsDetected, T.CompensationsDetected) << OpCtx;
+    EXPECT_EQ(F.LocalError.count(), T.LocalError.count()) << OpCtx;
+    EXPECT_EQ(bitsOfDouble(F.LocalError.sum()), bitsOfDouble(T.LocalError.sum()))
+        << OpCtx;
+    EXPECT_EQ(bitsOfDouble(F.LocalError.max()), bitsOfDouble(T.LocalError.max()))
+        << OpCtx;
+    EXPECT_EQ(bitsOfDouble(F.MaxFlaggedLocalError),
+              bitsOfDouble(T.MaxFlaggedLocalError))
+        << OpCtx;
+    EXPECT_TRUE(T.Expr != nullptr) << OpCtx;
+    EXPECT_TRUE(F.traceFree()) << OpCtx;
+    EXPECT_EQ(F.NextVarIdx, 0u) << OpCtx;
+    EXPECT_TRUE(F.TotalInputs.Vars.empty()) << OpCtx;
+    EXPECT_TRUE(F.ProblematicInputs.Vars.empty()) << OpCtx;
+    EXPECT_TRUE(F.ExampleProblematic.empty()) << OpCtx;
+  }
+  ASSERT_EQ(FreeSpots.size(), TracedSpots.size()) << Ctx;
+  for (const auto &[PC, T] : TracedSpots) {
+    ASSERT_TRUE(FreeSpots.count(PC)) << Ctx << " spot " << PC;
+    const SpotRecord &F = FreeSpots.at(PC);
+    EXPECT_EQ(F.Kind, T.Kind) << Ctx;
+    EXPECT_TRUE(F.Loc == T.Loc) << Ctx;
+    EXPECT_EQ(F.Executions, T.Executions) << Ctx;
+    EXPECT_EQ(F.Erroneous, T.Erroneous) << Ctx;
+    EXPECT_EQ(F.ErrorBits.count(), T.ErrorBits.count()) << Ctx;
+    EXPECT_EQ(bitsOfDouble(F.ErrorBits.sum()), bitsOfDouble(T.ErrorBits.sum()))
+        << Ctx;
+    EXPECT_EQ(bitsOfDouble(F.ErrorBits.max()), bitsOfDouble(T.ErrorBits.max()))
+        << Ctx;
+    EXPECT_EQ(F.InfluencingOps, T.InfluencingOps) << Ctx;
+  }
+}
+
+} // namespace
+
+TEST(TraceLadder, TraceFreeCountersMatchTracedFieldByField) {
+  AnalysisConfig FreeCfg;
+  FreeCfg.TraceFree = true;
+  size_t Nonempty = 0;
+  for (const fpcore::Core &C : diffharness::randomCores(0x5201, 10)) {
+    Program P = fpcore::compile(C);
+    Herbgrind Traced(P), Free(P, FreeCfg);
+    for (const std::vector<double> &In : sampleFor(C, 24, 0x5202)) {
+      Traced.runOnInput(In);
+      Free.runOnInput(In);
+    }
+    expectCountersAgree(Traced.opRecords(), Traced.spotRecords(),
+                        Free.opRecords(), Free.spotRecords(), C.Name);
+    EXPECT_EQ(Free.stats().TraceNodesAllocated, 0u) << C.Name;
+    EXPECT_EQ(Free.reportedRootCauses(), Traced.reportedRootCauses());
+    EXPECT_EQ(Free.snapshot().namesRootCause(),
+              Traced.snapshot().namesRootCause());
+    Nonempty += Traced.opRecords().empty() ? 0 : 1;
+  }
+  EXPECT_GT(Nonempty, 0u);
+
+  std::vector<native::Kernel> Kernels = diffharness::randomKernels(0x5203, 4);
+  for (const native::Kernel &K : native::demoKernels())
+    Kernels.push_back(K);
+  for (const native::Kernel &K : Kernels) {
+    native::Context Traced, Free(FreeCfg);
+    Rng R(0x5204);
+    for (int I = 0; I < 24; ++I) {
+      std::vector<double> In;
+      for (const native::Kernel::InputRange &IR : K.Inputs)
+        In.push_back(R.betweenOrdinals(IR.Lo, IR.Hi));
+      Traced.run(K, In);
+      Free.run(K, In);
+    }
+    expectCountersAgree(Traced.opRecords(), Traced.spotRecords(),
+                        Free.opRecords(), Free.spotRecords(), K.Name);
+    EXPECT_EQ(Free.stats().TraceNodesAllocated, 0u) << K.Name;
+  }
+}
+
+TEST(TraceLadder, RootCausesAreTheUnionOfPerShardRootCauses) {
+  size_t WithRootCause = 0, Without = 0;
+  for (uint64_t Seed : {0x5101ULL, 0x5102ULL, 0x5103ULL}) {
+    std::vector<fpcore::Core> Cores = diffharness::randomCores(Seed, 8);
+    EngineConfig Cfg = ladderConfig(2);
+    diffharness::ScratchDir Dir("union");
+    std::vector<ShardDoc> Docs =
+        diffharness::tracedSliceDocs(Cores, {}, Cfg, Dir.Path);
+    std::map<uint64_t, std::set<uint32_t>> Union;
+    for (const ShardDoc &D : Docs) {
+      std::set<uint32_t> RC = rootCauseSet(D.Result);
+      EXPECT_EQ(!RC.empty(), D.Result.namesRootCause());
+      EXPECT_FALSE(D.Result.traceFree());
+      Union[D.BenchIndex].insert(RC.begin(), RC.end());
+    }
+    BatchResult Merged;
+    std::string Err;
+    ASSERT_TRUE(mergeShards(std::move(Docs), Merged, Err)) << Err;
+    BatchResult Ladder = Engine(Cfg).run(Cores);
+    ASSERT_EQ(Merged.Benchmarks.size(), Cores.size());
+    for (size_t B = 0; B < Cores.size(); ++B) {
+      EXPECT_EQ(rootCauseSet(Merged.Benchmarks[B].Records), Union[B]);
+      // The ladder traces exactly the benchmarks the union names, and its
+      // report shows exactly those root causes.
+      EXPECT_EQ(Ladder.Benchmarks[B].Traced, !Union[B].empty());
+      std::set<uint32_t> Reported;
+      for (const RootCauseReport &RC : Ladder.Benchmarks[B].Rep.allRootCauses())
+        Reported.insert(RC.PC);
+      EXPECT_EQ(Reported, Union[B]);
+      (Union[B].empty() ? Without : WithRootCause) += 1;
+    }
+    EXPECT_EQ(Ladder.renderJson(), Merged.renderJson()) << "seed " << Seed;
+  }
+  // Both sides of the invariant were exercised.
+  EXPECT_GT(WithRootCause, 0u);
+  EXPECT_GT(Without, 0u);
+}
+
+TEST(TraceLadder, ColdRunStoresTraceFreeDocumentsAndWarmRunAnalyzesNone) {
+  std::vector<fpcore::Core> Cores = mixedCorpusSubset();
+  diffharness::ScratchDir Cache("ladder-cache");
+  EngineConfig Cfg = ladderConfig(3);
+  Cfg.CacheDir = Cache.Path;
+  BatchResult Cold = Engine(Cfg).run(Cores);
+  EXPECT_EQ(Cold.Stats.AnalyzedShards, Cold.Stats.Shards);
+
+  std::string Errors;
+  size_t TraceFreeDocs = 0;
+  for (const ShardDoc &D : diffharness::readShardDocs(Cache.Path, &Errors)) {
+    // Only a benchmark with no root cause keeps trace-free documents; a
+    // replay overwrote every document of the others.
+    ASSERT_LT(D.BenchIndex, Cold.Benchmarks.size());
+    if (Cold.Benchmarks[D.BenchIndex].Traced)
+      EXPECT_FALSE(D.Result.traceFree()) << D.Benchmark;
+    TraceFreeDocs += D.Result.traceFree() ? 1 : 0;
+  }
+  EXPECT_TRUE(Errors.empty()) << Errors;
+  EXPECT_GT(TraceFreeDocs, 0u);
+  EXPECT_GT(Cold.Stats.TracedBenchmarks, 0u);
+
+  BatchResult Warm = Engine(Cfg).run(Cores);
+  EXPECT_EQ(Warm.Stats.AnalyzedShards, 0u);
+  EXPECT_EQ(Warm.Stats.CachedShards, Warm.Stats.Shards);
+  EXPECT_EQ(Warm.Stats.ReplayedShards, 0u);
+  EXPECT_EQ(Warm.Stats.TraceNodes, 0u);
+  EXPECT_EQ(Warm.renderJson(), Cold.renderJson());
+  EXPECT_EQ(Cold.renderJson(),
+            diffharness::tracedOracleJson(Cores, {}, ladderConfig(1)));
+}
+
+TEST(TraceLadder, SliceReplaysTraceFreeDocumentsTraced) {
+  std::vector<fpcore::Core> Cores = mixedCorpusSubset();
+  diffharness::ScratchDir Cache("ladder-slice");
+  EngineConfig Cfg = ladderConfig(2);
+  Cfg.CacheDir = Cache.Path;
+  Engine(Cfg).run(Cores);
+  auto TraceFreeShardZero = [&] {
+    size_t N = 0;
+    for (const ShardDoc &D : diffharness::readShardDocs(Cache.Path))
+      N += D.ShardIndex == 0 && D.Result.traceFree() ? 1 : 0;
+    return N;
+  };
+  size_t Stale = TraceFreeShardZero();
+  ASSERT_GT(Stale, 0u);
+
+  // The slice cannot use a trace-free document: it analyzes those shards
+  // traced (overwriting them) and takes the traced ones from the cache.
+  EngineConfig Slice = Cfg;
+  Slice.ShardEnd = 1;
+  BatchResult R = Engine(Slice).run(Cores);
+  EXPECT_EQ(R.Stats.AnalyzedShards, Stale);
+  EXPECT_EQ(R.Stats.CachedShards, R.Stats.Shards - Stale);
+  EXPECT_EQ(R.Stats.TraceFreeShards, 0u);
+  EXPECT_EQ(TraceFreeShardZero(), 0u);
+  EngineConfig Plain = Slice;
+  Plain.CacheDir.clear();
+  EXPECT_EQ(R.renderJson(), Engine(Plain).run(Cores).renderJson());
+}
+
+TEST(TraceLadder, MergeShardsRejectsStrippedTracedDocuments) {
+  std::vector<fpcore::Core> Cores = mixedCorpusSubset();
+  diffharness::ScratchDir Dir("ladder-strip");
+  std::vector<ShardDoc> Docs =
+      diffharness::tracedSliceDocs(Cores, {}, ladderConfig(2), Dir.Path);
+  std::set<uint64_t> RootCauseBenches;
+  for (const ShardDoc &D : Docs)
+    if (D.Result.namesRootCause())
+      RootCauseBenches.insert(D.BenchIndex);
+  ASSERT_FALSE(RootCauseBenches.empty());
+
+  // Strip the expressions from one document of a benchmark that reports a
+  // root cause: the merge must refuse rather than drop the root cause.
+  size_t Victim = 0;
+  while (!RootCauseBenches.count(Docs[Victim].BenchIndex))
+    ++Victim;
+  Docs[Victim].Result.dropTraces();
+  ASSERT_TRUE(Docs[Victim].Result.traceFree());
+  std::string StrippedJson = renderShardJson(Docs[Victim]);
+  BatchResult Out;
+  std::string Err;
+  EXPECT_FALSE(mergeShards(std::move(Docs), Out, Err));
+  EXPECT_NE(Err.find("trace-free"), std::string::npos) << Err;
+
+  // On the wire, a stripped document that lost its mark is corrupt.
+  const std::string Mark = ",\"traceFree\":true";
+  size_t At = StrippedJson.find(Mark);
+  ASSERT_NE(At, std::string::npos);
+  ShardDoc Back;
+  EXPECT_TRUE(parseShard(StrippedJson, Back, Err)) << Err;
+  StrippedJson.erase(At, Mark.size());
+  ShardDoc Unmarked;
+  EXPECT_FALSE(parseShard(StrippedJson, Unmarked, Err));
+  EXPECT_NE(Err.find("not marked trace-free"), std::string::npos) << Err;
+}
+
+TEST(TraceLadder, MixingTraceFreeAndTracedRecordsIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Program P = cancellationKernel();
+  AnalysisConfig FreeCfg;
+  FreeCfg.TraceFree = true;
+  Herbgrind Traced(P), Free(P, FreeCfg);
+  for (double X : {1e16, 2e16, 3.5}) {
+    Traced.runOnInput({X});
+    Free.runOnInput({X});
+  }
+  AnalysisResult T = Traced.snapshot(), F = Free.snapshot();
+  ASSERT_TRUE(F.namesRootCause());
+  EXPECT_DEATH(T.mergeFrom(F), "trace-free");
+  // The report would have to drop the root cause it cannot render.
+  EXPECT_DEATH(buildReport(F), "trace-free");
+  // Two trace-free results fold counter-wise; a root-cause-free one
+  // builds the traced report's bytes.
+  AnalysisResult F2 = Free.snapshot();
+  F2.mergeFrom(F);
+  EXPECT_EQ(F2.Ops.begin()->second.Executions,
+            2 * F.Ops.begin()->second.Executions);
 }

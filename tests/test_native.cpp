@@ -441,6 +441,29 @@ TEST(NativeContext, HgLocCapturesTheEnclosingFunction) {
   EXPECT_NE(C.loc().File.find("test_native.cpp"), std::string::npos);
 }
 
+TEST(NativeContext, DemoKernelLocationsAreRelativeToTheSourceRoot) {
+  // The build maps the source root out of __FILE__, so every op and spot
+  // of the demo kernels names the checkout-independent relative path --
+  // and so do the site ids hashed from it.
+  for (const native::Kernel &K : native::demoKernels()) {
+    native::Context C;
+    std::vector<double> In;
+    for (const native::Kernel::InputRange &R : K.Inputs)
+      In.push_back(R.Lo + (R.Hi - R.Lo) / 3.0);
+    C.run(K, In);
+    ASSERT_FALSE(C.spotRecords().empty()) << K.Name;
+    for (const auto &[PC, Rec] : C.opRecords())
+      EXPECT_EQ(Rec.Loc.File, "src/native/Kernel.cpp") << K.Name;
+    for (const auto &[PC, Spot] : C.spotRecords())
+      EXPECT_EQ(Spot.Loc.File, "src/native/Kernel.cpp") << K.Name;
+    for (const SpotReport &S : native::buildReport(C).Spots) {
+      EXPECT_EQ(S.Loc.File, "src/native/Kernel.cpp") << K.Name;
+      for (const RootCauseReport &RC : S.RootCauses)
+        EXPECT_EQ(RC.Loc.File, "src/native/Kernel.cpp") << K.Name;
+    }
+  }
+}
+
 TEST(NativeContext, ReinterningIsNotACollision) {
   // Re-stamping locations (every loop trip invalidates the site cache)
   // re-interns the same sites; the collision counter must only count

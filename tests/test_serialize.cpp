@@ -311,11 +311,11 @@ TEST(Serialize, RejectsUnknownMajorVersionAndForeignFormats) {
 
   // A newer *minor* version of the same major still parses.
   std::string MinorBump = Json;
-  Needle = format("\"minor\":%d", WireFormatMinor);
+  Needle = format("\"minor\":%d", ShardFormatMinor);
   At = MinorBump.find(Needle);
   ASSERT_NE(At, std::string::npos);
   MinorBump.replace(At, Needle.size(),
-                    format("\"minor\":%d", WireFormatMinor + 3));
+                    format("\"minor\":%d", ShardFormatMinor + 3));
   ShardDoc Out2;
   EXPECT_TRUE(parseShardJson(MinorBump, Out2, Err)) << Err;
 

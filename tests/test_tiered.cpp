@@ -308,3 +308,55 @@ TEST(TieredStats, FastEscalatesOnlySuspectRuns) {
   EXPECT_EQ(R.Stats.Tier0Runs, R.Stats.Runs);
   EXPECT_TRUE(R.Benchmarks[0].Rep.Spots.empty());
 }
+
+//===----------------------------------------------------------------------===//
+// The trace ladder under every tier: byte identity with the traced oracle
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks \p Cores + \p Kernels at every tier and at jobs 1 and 4: the
+/// whole-layout sweep (trace-free pass, traced replay) renders the bytes
+/// the traced oracle folds, traces exactly the benchmarks that report a
+/// root cause, and builds no trace node for the others.
+void expectLadderMatchesTracedOracle(
+    const std::vector<fpcore::Core> &Cores,
+    const std::vector<native::Kernel> &Kernels, const std::string &Ctx) {
+  for (TierMode Tier : {TierMode::Full, TierMode::Confirm, TierMode::Fast}) {
+    std::string Oracle =
+        tracedOracleJson(Cores, Kernels, smallConfig(1, Tier));
+    for (unsigned Jobs : {1u, 4u}) {
+      std::string Where = Ctx + " tier " +
+                          std::to_string(static_cast<int>(Tier)) + " jobs " +
+                          std::to_string(Jobs);
+      BatchResult R = Engine(smallConfig(Jobs, Tier)).run(Cores, Kernels);
+      EXPECT_EQ(R.renderJson(), Oracle) << Where;
+      EXPECT_GT(R.Stats.TraceFreeShards, 0u) << Where;
+      for (const BenchmarkResult &BR : R.Benchmarks) {
+        EXPECT_EQ(BR.Traced, !BR.Rep.allRootCauses().empty())
+            << Where << " " << BR.Name;
+        if (!BR.Traced)
+          EXPECT_EQ(BR.TraceNodes, 0u) << Where << " " << BR.Name;
+      }
+    }
+  }
+}
+
+} // namespace
+
+TEST(TraceLadder, MatchesTracedOracleOnRandomPrograms) {
+  for (uint64_t Seed : {0x7101ULL, 0x7102ULL}) {
+    std::vector<fpcore::Core> Cores = randomCores(Seed, 6);
+    std::vector<native::Kernel> Kernels = randomKernels(Seed, 3);
+    expectLadderMatchesTracedOracle(Cores, Kernels,
+                                    "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(TraceLadder, MatchesTracedOracleOnCorpusAndDemoKernels) {
+  std::vector<fpcore::Core> Cores;
+  for (const fpcore::Core &C : fpcore::corpus())
+    if (fpcore::isCompilable(C))
+      Cores.push_back(C.clone());
+  expectLadderMatchesTracedOracle(Cores, native::demoKernels(), "corpus");
+}

@@ -152,7 +152,7 @@ TEST(WireBinary, SniffedHeaderCarriesFamilyAndVersion) {
   ASSERT_TRUE(wire::sniffBinary(Bin, F, Major, Minor));
   EXPECT_EQ(F, wire::Family::Shard);
   EXPECT_EQ(Major, WireFormatMajor);
-  EXPECT_EQ(Minor, WireFormatMinor);
+  EXPECT_EQ(Minor, ShardFormatMinor);
 }
 
 TEST(WireBinary, ImproveDocumentRoundTripsAndCrossRenders) {
