@@ -127,55 +127,6 @@ HotPathProbe runHotPathProbe() {
   return Probe;
 }
 
-/// Sample-batched hot-path probe: the tier-0 (predicate-only) analyzer
-/// over the straight-line SoA-batchable corpus benchmarks, scalar
-/// point-at-a-time vs. runOnBatch. This is where batching pays directly:
-/// the SoA runner strides contiguous double rows with no ShadowState,
-/// machine state, or pool traffic per point. The speedup is the perf
-/// gate of the batched path (byte-identity is checked at engine level).
-struct BatchedProbe {
-  double ScalarSeconds = 0.0;
-  double BatchedSeconds = 0.0;
-  uint64_t Runs = 0;
-  unsigned Lanes = 32;
-  bool Ok = false;
-};
-
-BatchedProbe runBatchedProbe() {
-  BatchedProbe Probe;
-  const int Samples = 256;
-  const int Reps = 4;
-  AnalysisConfig PCfg;
-  PCfg.PredicateOnly = true;
-  for (const fpcore::Core &C : fpcore::corpus()) {
-    if (!isStraightLine(*C.Body) || !fpcore::isCompilable(C))
-      continue;
-    Program P = fpcore::compile(C);
-    Herbgrind HG(P, PCfg);
-    if (!HG.soaBatchable())
-      continue;
-    std::vector<std::vector<double>> Inputs = sampleInputs(C, Samples);
-    // Warm both paths (interning, scratch growth), then time steady state.
-    for (const auto &In : Inputs)
-      HG.runOnInput(In);
-    HG.runOnBatch(Inputs.data(), Probe.Lanes);
-    Probe.ScalarSeconds += timeIt([&] {
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        for (const auto &In : Inputs)
-          HG.runOnInput(In);
-    });
-    Probe.BatchedSeconds += timeIt([&] {
-      for (int Rep = 0; Rep < Reps; ++Rep)
-        for (size_t I = 0; I < Inputs.size(); I += Probe.Lanes)
-          HG.runOnBatch(&Inputs[I],
-                        std::min<size_t>(Probe.Lanes, Inputs.size() - I));
-    });
-    Probe.Runs += static_cast<uint64_t>(Reps) * Inputs.size();
-  }
-  Probe.Ok = Probe.Runs > 0;
-  return Probe;
-}
-
 /// Native-frontend overhead probe: the same quadratic-root kernel run
 /// four ways -- raw doubles, native::Real under a Context, the
 /// uninstrumented interpreter, and the instrumented interpreter -- so the
@@ -834,11 +785,11 @@ int main(int Argc, char **Argv) {
   }
 
   // Tiered shadowing: the same mixed workload (corpus cores plus the
-  // native demo kernels, quadratic included) under all three tiers. The
-  // perf claim is wall-clock: confirm skips the full shadow for every
-  // benchmark tier 0 clears, fast skips it for every run, and both only
-  // pay off while the escalation fraction stays below 1.0 -- which is
-  // the acceptance gate, alongside confirm's byte-identity.
+  // native demo kernels, quadratic included) under both tiers. The perf
+  // claim is wall-clock: confirm skips the full shadow for every
+  // benchmark tier 0 clears, and only pays off while the escalation
+  // fraction stays below 1.0 -- which is the acceptance gate, alongside
+  // confirm's byte-identity.
   std::vector<fpcore::Core> TierCores = fpcore::compilableCorpus();
   std::vector<herbgrind::native::Kernel> TierKernels =
       herbgrind::native::demoKernels();
@@ -852,54 +803,36 @@ int main(int Argc, char **Argv) {
   };
   BatchResult TFull = RunTier(TierMode::Full);
   BatchResult TConfirm = RunTier(TierMode::Confirm);
-  BatchResult TFast = RunTier(TierMode::Fast);
   bool TierIdentical = TConfirm.renderJson() == TFull.renderJson();
   double ConfirmFraction =
       TFull.Stats.Benchmarks
           ? static_cast<double>(TConfirm.Stats.ConfirmedBenchmarks) /
                 TFull.Stats.Benchmarks
           : 1.0;
-  double FastFraction =
-      TFast.Stats.Runs ? static_cast<double>(TFast.Stats.EscalatedRuns) /
-                             TFast.Stats.Runs
-                       : 1.0;
   std::printf("\ntiered shadowing (mixed workload, jobs %u):\n"
               "  full %.3fs; confirm %.3fs (%llu/%llu benchmarks "
-              "escalated, %.0f%%), identical: %s; fast %.3fs (%llu/%llu "
-              "runs escalated, %.0f%%)\n",
+              "escalated, %.0f%%), identical: %s\n",
               TCfg.Jobs, TFull.Stats.WallSeconds,
               TConfirm.Stats.WallSeconds,
               static_cast<unsigned long long>(
                   TConfirm.Stats.ConfirmedBenchmarks),
               static_cast<unsigned long long>(TFull.Stats.Benchmarks),
-              100.0 * ConfirmFraction, TierIdentical ? "yes" : "NO -- BUG",
-              TFast.Stats.WallSeconds,
-              static_cast<unsigned long long>(TFast.Stats.EscalatedRuns),
-              static_cast<unsigned long long>(TFast.Stats.Runs),
-              100.0 * FastFraction);
+              100.0 * ConfirmFraction, TierIdentical ? "yes" : "NO -- BUG");
   TCfg.Tier = TierMode::Full;
   if (!AppendLedger(TCfg, TFull.Stats, "tier-full"))
     return 1;
   TCfg.Tier = TierMode::Confirm;
   if (!AppendLedger(TCfg, TConfirm.Stats, "tier-confirm"))
     return 1;
-  TCfg.Tier = TierMode::Fast;
-  if (!AppendLedger(TCfg, TFast.Stats, "tier-fast"))
-    return 1;
   std::string TieredJson = format(
-      "{\"full_s\":%s,\"confirm_s\":%s,\"fast_s\":%s,\"benchmarks\":%llu,"
+      "{\"full_s\":%s,\"confirm_s\":%s,\"benchmarks\":%llu,"
       "\"confirmed_benchmarks\":%llu,\"confirm_escalation_fraction\":%s,"
-      "\"fast_runs\":%llu,\"fast_escalated_runs\":%llu,"
-      "\"fast_escalation_fraction\":%s,\"confirm_identical\":%s}",
+      "\"confirm_identical\":%s}",
       formatDoubleShortest(TFull.Stats.WallSeconds).c_str(),
       formatDoubleShortest(TConfirm.Stats.WallSeconds).c_str(),
-      formatDoubleShortest(TFast.Stats.WallSeconds).c_str(),
       static_cast<unsigned long long>(TFull.Stats.Benchmarks),
       static_cast<unsigned long long>(TConfirm.Stats.ConfirmedBenchmarks),
       formatDoubleShortest(ConfirmFraction).c_str(),
-      static_cast<unsigned long long>(TFast.Stats.Runs),
-      static_cast<unsigned long long>(TFast.Stats.EscalatedRuns),
-      formatDoubleShortest(FastFraction).c_str(),
       TierIdentical ? "true" : "false");
 
   LadderProbe LP = runLadderProbe(TierCores, TierKernels);
@@ -941,37 +874,6 @@ int main(int Argc, char **Argv) {
       static_cast<unsigned long long>(LP.Stats.TracedBenchmarks),
       static_cast<unsigned long long>(LP.Stats.ReplayedShards),
       LP.ByteIdentical ? "true" : "false");
-
-  // Sample-batched evaluation: the SoA tier-0 hot path scalar vs.
-  // batched, plus the engine-level contract check -- a --batch sweep of
-  // the corpus must reproduce the scalar reference bytes.
-  BatchedProbe BP = runBatchedProbe();
-  double BatchSpeedup = BP.BatchedSeconds > 0.0
-                            ? BP.ScalarSeconds / BP.BatchedSeconds
-                            : 0.0;
-  EngineConfig BatCfg;
-  BatCfg.Jobs = JobCounts.back();
-  BatCfg.SamplesPerBenchmark = Cfg.SamplesPerBenchmark;
-  BatCfg.ShardSize = Cfg.ShardSize;
-  BatCfg.BatchLanes = BP.Lanes;
-  BatchResult BatResult = Engine(BatCfg).runCorpus();
-  bool BatchIdentical = BatResult.renderJson() == Reference;
-  if (!AppendLedger(BatCfg, BatResult.Stats, "batched"))
-    return 1;
-  std::printf("\nbatched evaluation (tier-0 SoA hot path, %u lanes):\n"
-              "  scalar %.3fs, batched %.3fs (%.2fx, %llu runs); "
-              "--batch %u corpus sweep identical to scalar: %s\n",
-              BP.Lanes, BP.ScalarSeconds, BP.BatchedSeconds, BatchSpeedup,
-              static_cast<unsigned long long>(BP.Runs), BatCfg.BatchLanes,
-              BatchIdentical ? "yes" : "NO -- BUG");
-  std::string BatchedJson = format(
-      "{\"lanes\":%u,\"scalar_s\":%s,\"batched_s\":%s,\"speedup\":%s,"
-      "\"runs\":%llu,\"byte_identical\":%s}",
-      BP.Lanes, formatDoubleShortest(BP.ScalarSeconds).c_str(),
-      formatDoubleShortest(BP.BatchedSeconds).c_str(),
-      formatDoubleShortest(BatchSpeedup).c_str(),
-      static_cast<unsigned long long>(BP.Runs),
-      BatchIdentical ? "true" : "false");
 
   TraceProbe TP = runTraceProbe();
   std::printf("\ntrace arena (loop chain s = s + x, %llu iterations, max "
@@ -1108,7 +1010,6 @@ int main(int Argc, char **Argv) {
       "\"telemetry_merge\":%s,"
       "\"tiered\":%s,"
       "\"ladder\":%s,"
-      "\"batched\":%s,"
       "\"wire\":%s,"
       "\"trace\":%s,"
       "\"kernels\":%s,"
@@ -1135,7 +1036,7 @@ int main(int Argc, char **Argv) {
       formatDoubleShortest(Over(NP.InterpSeconds, NP.RawSeconds)).c_str(),
       formatDoubleShortest(Over(NP.HerbgrindSeconds, NP.RawSeconds)).c_str(),
       ProfileJson.c_str(), TelemetryMergeJson.c_str(), TieredJson.c_str(),
-      LadderJson.c_str(), BatchedJson.c_str(), WireSectionJson.c_str(), TraceJson.c_str(),
+      LadderJson.c_str(), WireSectionJson.c_str(), TraceJson.c_str(),
       KernelsJson.c_str(), CacheJson.c_str());
   std::ofstream Out(JsonOut, std::ios::binary | std::ios::trunc);
   if (Out) {
@@ -1191,29 +1092,11 @@ int main(int Argc, char **Argv) {
                  "FAIL: confirm-tier report differs from full tier\n");
     return 1;
   }
-  if (ConfirmFraction >= 1.0 || FastFraction >= 1.0) {
+  if (ConfirmFraction >= 1.0) {
     std::fprintf(stderr,
-                 "FAIL: tier-0 escalated everything (confirm %.2f, fast "
-                 "%.2f); the predicate tier is vacuous\n",
-                 ConfirmFraction, FastFraction);
-    return 1;
-  }
-  // The batched-evaluation acceptance gates: batching must never change
-  // report bytes, and the SoA hot path must actually amortize -- below
-  // 1.5x the per-batch restructuring is not earning its complexity. An
-  // empty probe fails too (a corpus change must not make the gate
-  // vacuous).
-  if (!BatchIdentical) {
-    std::fprintf(stderr,
-                 "FAIL: --batch %u corpus sweep differs from scalar\n",
-                 BatCfg.BatchLanes);
-    return 1;
-  }
-  if (!BP.Ok || BatchSpeedup < 1.5) {
-    std::fprintf(stderr,
-                 "FAIL: batched tier-0 hot path %.2fx over scalar "
-                 "(expected >= 1.5x over %llu runs)\n",
-                 BatchSpeedup, static_cast<unsigned long long>(BP.Runs));
+                 "FAIL: tier-0 escalated everything (confirm %.2f); the "
+                 "predicate tier is vacuous\n",
+                 ConfirmFraction);
     return 1;
   }
   // The wire-format acceptance gates: the binary round trip must be

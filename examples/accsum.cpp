@@ -13,7 +13,7 @@
 // without ever touching the 256-bit shadow, while the naive kernel trips
 // the output predicate and escalates to the full analysis, which then
 // pins the blame on the += line. test_accsum.cpp asserts exactly this
-// split through the batch engine's confirm and fast tiers.
+// split per run and through the batch engine's confirm tier.
 //
 //===----------------------------------------------------------------------===//
 

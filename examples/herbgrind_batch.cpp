@@ -110,16 +110,12 @@ static int usage(const char *Prog) {
       "  --jobs N          worker threads (default: hardware concurrency)\n"
       "  --samples N       sampled inputs per benchmark (default 64)\n"
       "  --shard N         inputs per shard (default 16)\n"
-      "  --batch N         sample points per batched analyzer call (the\n"
-      "                    SoA hot path; default 1 = scalar point-at-a-\n"
-      "                    time; report bytes are identical at every value)\n"
       "  --seed S          base sampling seed (default 0xcafe)\n"
       "  --tier MODE       shadowing tier: full (default; every run under\n"
       "                    the 256-bit shadow), confirm (tier-0 error\n"
       "                    predicates sweep first, suspect benchmarks\n"
       "                    replay in full -- report bytes identical to\n"
-      "                    full), fast (per-run escalation; root causes a\n"
-      "                    subset of full's, counters differ)\n"
+      "                    full)\n"
       "  --name BENCH      analyze one corpus benchmark (repeatable)\n"
       "  --native          also sweep the bundled native-frontend demo\n"
       "                    kernels (real C++ code instrumented through\n"
@@ -1012,11 +1008,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage(Argv[0]);
       Cfg.ShardSize = static_cast<int>(parseIntFlag(Arg, V, 1, INT32_MAX));
-    } else if (std::strcmp(Arg, "--batch") == 0) {
-      const char *V = NextValue();
-      if (!V)
-        return usage(Argv[0]);
-      Cfg.BatchLanes = static_cast<unsigned>(parseIntFlag(Arg, V, 1, 4096));
     } else if (std::strcmp(Arg, "--seed") == 0) {
       const char *V = NextValue();
       if (!V)
@@ -1039,11 +1030,8 @@ int main(int Argc, char **Argv) {
         Cfg.Tier = TierMode::Full;
       else if (std::strcmp(V, "confirm") == 0)
         Cfg.Tier = TierMode::Confirm;
-      else if (std::strcmp(V, "fast") == 0)
-        Cfg.Tier = TierMode::Fast;
       else {
-        std::fprintf(stderr,
-                     "error: --tier wants full, confirm, or fast; got '%s'\n",
+        std::fprintf(stderr, "error: --tier wants full or confirm; got '%s'\n",
                      V);
         return 2;
       }
@@ -1185,6 +1173,7 @@ int main(int Argc, char **Argv) {
         return usage(Argv[0]);
       LedgerDir = V;
     } else if (Arg[0] == '-') {
+      std::fprintf(stderr, "error: unknown option '%s'\n", Arg);
       return usage(Argv[0]);
     } else if (MergeShards) {
       MergeArgs.push_back(Arg);
@@ -1272,20 +1261,6 @@ int main(int Argc, char **Argv) {
     OneCfg.Jobs = 1;
     Engine One(OneCfg);
     BatchResult Single = One.run(Cores, Kernels);
-    // Batching is part of the same contract: the lane count must never
-    // change report bytes. The extra leg flips --batch (scalar when the
-    // main legs ran batched, 8 lanes otherwise) and bypasses the cache
-    // so it genuinely re-executes rather than reading back stored shards.
-    EngineConfig BatchCfg = OneCfg;
-    BatchCfg.BatchLanes = Cfg.BatchLanes > 1 ? 1 : 8;
-    BatchCfg.CacheDir.clear();
-    Engine Batched(BatchCfg);
-    if (Batched.run(Cores, Kernels).renderJson() != Single.renderJson()) {
-      std::fprintf(stderr,
-                   "FAIL: --batch %u report differs from --batch %u report\n",
-                   BatchCfg.BatchLanes, Eng.config().BatchLanes);
-      return 1;
-    }
     if (Improve) {
       // The improver is part of the determinism contract too: its
       // outcomes must not depend on the worker count either. The
@@ -1389,12 +1364,11 @@ int main(int Argc, char **Argv) {
                static_cast<unsigned long long>(Result.Stats.TracedBenchmarks),
                static_cast<unsigned long long>(Result.Stats.Benchmarks),
                static_cast<unsigned long long>(Result.Stats.TraceNodes));
-  if (Cfg.Tier != TierMode::Full)
+  if (Cfg.Tier == TierMode::Confirm)
     std::fprintf(
         stderr,
-        "tier: %s; %llu tier-0 runs (%llu ops), %llu escalated runs, "
+        "tier: confirm; %llu tier-0 runs (%llu ops), %llu escalated runs, "
         "%llu/%llu benchmarks confirmed\n",
-        Cfg.Tier == TierMode::Confirm ? "confirm" : "fast",
         static_cast<unsigned long long>(Result.Stats.Tier0Runs),
         static_cast<unsigned long long>(Result.Stats.Tier0Ops),
         static_cast<unsigned long long>(Result.Stats.EscalatedRuns),

@@ -61,27 +61,6 @@ static bool computeSkippable(const Statement &S,
   }
 }
 
-/// A float op the generic shadowStep handles through its final "plain
-/// scalar float op" branch: single-lane, no bit tricks, no lane shuffling.
-/// These are the ops the struct-of-arrays tier-0 runner can evaluate.
-static bool isPlainScalarFloatOp(Opcode Op) {
-  const OpInfo &Info = opInfo(Op);
-  if (!Info.IsFloatOp || Info.IsComparison || Info.IsSIMD)
-    return false;
-  switch (Op) {
-  case Opcode::I64toF64:
-  case Opcode::I64BitsToF64:
-  case Opcode::XorV128:
-  case Opcode::AndV128:
-  case Opcode::ExtractLaneF64:
-  case Opcode::ExtractLaneF32:
-  case Opcode::BuildV2F64:
-    return false;
-  default:
-    return true;
-  }
-}
-
 Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
     : Prog(Config.WrapLibraryCalls ? P : lowerLibraryCalls(P)),
       Cfg(Config),
@@ -92,41 +71,6 @@ Herbgrind::Herbgrind(const Program &P, AnalysisConfig Config)
   for (const Statement &S : Prog.statements())
     Skippable.push_back(computeSkippable(S, TempTypes));
 
-  // SoA batchability (computed once, like Skippable). The program must be
-  // straight-line over temps only, so every lane visits the identical
-  // statement sequence and the per-lane verdicts equal the sequential
-  // ones; every value must be a scalar F64 moved by plain float ops, so
-  // temps can live in contiguous double lanes.
-  BatchableSoA = true;
-  for (const Statement &S : Prog.statements()) {
-    switch (S.Kind) {
-    case StmtKind::Input:
-    case StmtKind::Halt:
-      break;
-    case StmtKind::Const:
-      BatchableSoA &= S.Literal.Ty == ValueType::F64;
-      break;
-    case StmtKind::Copy:
-      BatchableSoA &= TempTypes[S.Dst] == ValueType::F64 &&
-                      TempTypes[S.Args[0]] == ValueType::F64;
-      break;
-    case StmtKind::Out:
-      BatchableSoA &= TempTypes[S.Args[0]] == ValueType::F64;
-      break;
-    case StmtKind::Op: {
-      const OpInfo &Info = opInfo(S.Op);
-      BatchableSoA &= isPlainScalarFloatOp(S.Op) &&
-                      Info.ResultTy == ValueType::F64 &&
-                      Info.OperandTy == ValueType::F64;
-      break;
-    }
-    default:
-      // Control flow, memory, or thread-state traffic: lanes could
-      // diverge or collide.
-      BatchableSoA = false;
-      break;
-    }
-  }
   // One shadow state serves every run: runOnInput resets it in place, so
   // its value pool and memory-table buckets are reused run over run.
   Shadow = std::make_unique<ShadowState>(Arena, Sets, Prog.numTemps(),
@@ -142,7 +86,6 @@ void Herbgrind::reset() {
   Ops.clear();
   Spots.clear();
   LastOutputs.clear();
-  LaneSuspects.clear();
   TotalSteps = 0;
   ShadowOps = 0;
   Skipped = 0;
@@ -233,148 +176,6 @@ void Herbgrind::runOnInput(const std::vector<double> &Inputs) {
   }
   TotalSteps += State.Steps;
   LastOutputs = std::move(State.Outputs);
-}
-
-//===----------------------------------------------------------------------===//
-// Sample-batched execution
-//===----------------------------------------------------------------------===//
-
-void Herbgrind::runOnBatch(const std::vector<double> *Inputs,
-                           size_t NumLanes) {
-  LaneSuspects.assign(NumLanes, 0);
-  if (NumLanes > 1 && Cfg.PredicateOnly && BatchableSoA) {
-    runPredicateBatchSoA(Inputs, NumLanes);
-    return;
-  }
-  // Everything else runs the scalar loop: the batched API's semantics *is*
-  // this loop.
-  for (size_t L = 0; L < NumLanes; ++L) {
-    runOnInput(Inputs[L]);
-    LaneSuspects[L] = RunSuspect;
-  }
-}
-
-void Herbgrind::runPredicateBatchSoA(const std::vector<double> *Inputs,
-                                     size_t NumLanes) {
-  // Tier 0 over a struct-of-arrays state: each temp is a contiguous row of
-  // NumLanes doubles for the concrete value, the signed running-error
-  // estimate, and its noise bound, plus a has-shadow byte. No shadow
-  // values, no pools, no MachineState -- the inner lane loops walk plain
-  // double arrays. Semantics (including which lanes become suspect, the
-  // final lane's outputs, and every stat counter) mirror NumLanes
-  // sequential predicate runs exactly.
-  const size_t NumTemps = Prog.numTemps();
-  SoAConc.assign(NumTemps * NumLanes, 0.0);
-  SoADelta.resize(NumTemps * NumLanes);
-  SoANoise.resize(NumTemps * NumLanes);
-  SoAHas.assign(NumTemps * NumLanes, 0);
-  auto Row = [NumLanes](std::vector<double> &V, uint32_t Temp) {
-    return V.data() + size_t(Temp) * NumLanes;
-  };
-
-  std::vector<Value> Outputs; // final lane's, for lastOutputs()
-  uint64_t Steps = 0;
-  uint32_t PC = 0;
-  bool Running = true;
-  while (Running && Steps < Cfg.MaxSteps) {
-    const Statement &S = Prog.stmt(PC);
-    ++Steps;
-    switch (S.Kind) {
-    case StmtKind::Const: {
-      double *C = Row(SoAConc, S.Dst);
-      uint8_t *H = &SoAHas[size_t(S.Dst) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        C[L] = S.Literal.F64;
-        H[L] = 0; // lazily shadowed at first use, like the scalar path
-      }
-      break;
-    }
-    case StmtKind::Input: {
-      double *C = Row(SoAConc, S.Dst);
-      uint8_t *H = &SoAHas[size_t(S.Dst) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        C[L] = Inputs[L][S.InputIndex];
-        H[L] = 0;
-      }
-      break;
-    }
-    case StmtKind::Copy: {
-      size_t Dst = size_t(S.Dst) * NumLanes;
-      size_t Src = size_t(S.Args[0]) * NumLanes;
-      std::copy_n(&SoAConc[Src], NumLanes, &SoAConc[Dst]);
-      std::copy_n(&SoADelta[Src], NumLanes, &SoADelta[Dst]);
-      std::copy_n(&SoANoise[Src], NumLanes, &SoANoise[Dst]);
-      std::copy_n(&SoAHas[Src], NumLanes, &SoAHas[Dst]);
-      break;
-    }
-    case StmtKind::Op: {
-      ShadowOps += NumLanes;
-      const double *AC[3];
-      const double *AD[3];
-      const double *AN[3];
-      const uint8_t *AH[3];
-      for (unsigned I = 0; I < S.NumArgs; ++I) {
-        AC[I] = Row(SoAConc, S.Args[I]);
-        AD[I] = Row(SoADelta, S.Args[I]);
-        AN[I] = Row(SoANoise, S.Args[I]);
-        AH[I] = &SoAHas[size_t(S.Args[I]) * NumLanes];
-      }
-      double *DC = Row(SoAConc, S.Dst);
-      double *DD = Row(SoADelta, S.Dst);
-      double *DN = Row(SoANoise, S.Dst);
-      uint8_t *DH = &SoAHas[size_t(S.Dst) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        Value ArgV[3];
-        errpredict::PredVal ArgP[3];
-        for (unsigned I = 0; I < S.NumArgs; ++I) {
-          ArgV[I] = Value::ofF64(AC[I][L]);
-          ArgP[I] = AH[I][L] ? errpredict::PredVal{AD[I][L], AN[I][L]}
-                             : errpredict::PredVal{};
-        }
-        // Value-based scalar evaluation: the concrete lane stays
-        // bit-identical to the interpreter's by construction.
-        Value R = evalScalarOp(S.Op, ArgV, S.NumArgs);
-        errpredict::PredOp P =
-            errpredict::predictScalarOp(S.Op, ArgV, ArgP, S.NumArgs, R);
-        DC[L] = R.F64;
-        DD[L] = P.Delta;
-        DN[L] = P.Noise;
-        DH[L] = 1;
-      }
-      break;
-    }
-    case StmtKind::Out: {
-      const double *C = Row(SoAConc, S.Args[0]);
-      const double *D = Row(SoADelta, S.Args[0]);
-      const double *N = Row(SoANoise, S.Args[0]);
-      const uint8_t *H = &SoAHas[size_t(S.Args[0]) * NumLanes];
-      for (size_t L = 0; L < NumLanes; ++L) {
-        if (errpredict::outputSuspect(
-                Value::ofF64(C[L]),
-                H[L] ? errpredict::predTotal(D[L], N[L]) : 0.0,
-                Cfg.OutputErrorThreshold))
-          LaneSuspects[L] = 1;
-      }
-      Outputs.push_back(Value::ofF64(C[NumLanes - 1]));
-      break;
-    }
-    case StmtKind::Halt:
-      // Halt is Skippable (control flow), so the scalar loop counts it as
-      // skipped when the type analysis is on; mirror that per lane.
-      if (Cfg.UseTypeAnalysis)
-        Skipped += NumLanes;
-      Running = false;
-      break;
-    default:
-      assert(false && "non-SoA statement in SoA batch");
-      Running = false;
-      break;
-    }
-    ++PC;
-  }
-  TotalSteps += Steps * NumLanes;
-  LastOutputs = std::move(Outputs);
-  RunSuspect = LaneSuspects[NumLanes - 1] != 0;
 }
 
 //===----------------------------------------------------------------------===//

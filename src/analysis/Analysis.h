@@ -261,28 +261,6 @@ public:
   /// Runs the program once under full instrumentation; records accumulate.
   void runOnInput(const std::vector<double> &Inputs);
 
-  /// Runs the program on \p NumLanes sample points at once (Inputs[L] is
-  /// lane L's input tuple). Accumulated records, outputs, and suspect
-  /// verdicts are byte-for-byte what NumLanes sequential runOnInput calls
-  /// would have produced. Tier-0 predicate runs of an soaBatchable()
-  /// program drop to a struct-of-arrays double pipeline with no
-  /// shadow-value allocation at all; every other run is that sequential
-  /// loop. Per-lane tier-0 verdicts land in laneSuspects();
-  /// lastRunSuspect()/lastOutputs() describe the final lane, exactly as if
-  /// it had been the last sequential run.
-  void runOnBatch(const std::vector<double> *Inputs, size_t NumLanes);
-
-  /// Per-lane tier-0 suspect verdicts of the most recent runOnBatch (all
-  /// false in full mode).
-  const std::vector<uint8_t> &laneSuspects() const { return LaneSuspects; }
-
-  /// True when the program is straight-line over temps only (no control
-  /// flow, no memory or thread-state traffic), every value is a scalar F64
-  /// and every op a plain scalar float op: tier-0 batches then use the
-  /// vectorizable struct-of-arrays pipeline (contiguous Conc/Delta/Noise
-  /// lanes).
-  bool soaBatchable() const { return BatchableSoA; }
-
   /// Clears every accumulated record and all shadow state, returning the
   /// instance to its freshly-constructed condition while keeping its
   /// arenas' slabs, interned influence sets, and compiled program. A reset
@@ -327,8 +305,6 @@ public:
 
 private:
   struct StepContext;
-  void runPredicateBatchSoA(const std::vector<double> *Inputs,
-                            size_t NumLanes);
   void shadowStep(const Statement &S, uint32_t PC, const Value *Args,
                   MachineState &State);
   void shadowFloatScalar(Opcode Op, uint32_t PC, const SourceLoc &Loc,
@@ -353,16 +329,9 @@ private:
   std::unique_ptr<ShadowState> Shadow;
   std::vector<ValueType> TempTypes;
   std::vector<bool> Skippable;
-  bool BatchableSoA = false;
   std::map<uint32_t, OpRecord> Ops;
   std::map<uint32_t, SpotRecord> Spots;
   std::vector<Value> LastOutputs;
-  std::vector<uint8_t> LaneSuspects;
-  /// \name SoA tier-0 scratch (sized on demand, reused batch over batch).
-  /// @{
-  std::vector<double> SoAConc, SoADelta, SoANoise; ///< [Temp*Lanes+lane]
-  std::vector<uint8_t> SoAHas;
-  /// @}
   uint64_t TotalSteps = 0;
   uint64_t ShadowOps = 0;
   uint64_t Skipped = 0;

@@ -1580,8 +1580,6 @@ static void encodeLedgerBody(wire::Encoder &E, const LedgerEntry &L) {
   E.u64(L.Samples);
   E.key("shardSize");
   E.u64(L.ShardSize);
-  E.key("batchLanes");
-  E.u64(L.BatchLanes);
   E.endObject();
   E.key("stats");
   E.beginObject();
@@ -1617,7 +1615,10 @@ static void encodeLedgerBody(wire::Encoder &E, const LedgerEntry &L) {
   encodeMetricsSnapshot(E, L.Metrics);
 }
 
-static bool decodeLedgerBody(wire::Decoder &D, LedgerEntry &Out) {
+/// \p DocMinor is the document's own minor version: a 1.0 entry still
+/// carries the retired "batchLanes" knob, which is read and discarded.
+static bool decodeLedgerBody(wire::Decoder &D, LedgerEntry &Out,
+                             int DocMinor) {
   ScopedCtx C(D, "ledger");
   {
     ScopedCtx MC(D, "ledger meta");
@@ -1633,8 +1634,12 @@ static bool decodeLedgerBody(wire::Decoder &D, LedgerEntry &Out) {
         !D.str(Out.ConfigHash) || !D.key("wireFormat") ||
         !D.str(Out.WireFormat) || !D.key("tier") || !D.str(Out.Tier) ||
         !D.key("jobs") || !D.u64(Out.Jobs) || !D.key("samples") ||
-        !D.u64(Out.Samples) || !D.key("shardSize") || !D.u64(Out.ShardSize) ||
-        !D.key("batchLanes") || !D.u64(Out.BatchLanes) || !D.endObject())
+        !D.u64(Out.Samples) || !D.key("shardSize") || !D.u64(Out.ShardSize))
+      return false;
+    uint64_t Discarded = 0;
+    if (DocMinor < 1 && (!D.key("batchLanes") || !D.u64(Discarded)))
+      return false;
+    if (!D.endObject())
       return false;
   }
   {
@@ -1692,9 +1697,11 @@ bool herbgrind::parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
       return false;
     }
     wire::JsonDecoder D(R.Value);
+    int DocMinor = 0;
     if (!D.beginObject() ||
-        !decodeJsonEnvelope(D, "herbgrind-ledger", LedgerFormatMajor) ||
-        !decodeLedgerBody(D, Out) || !D.endObject()) {
+        !decodeJsonEnvelope(D, "herbgrind-ledger", LedgerFormatMajor,
+                            &DocMinor) ||
+        !decodeLedgerBody(D, Out, DocMinor) || !D.endObject()) {
       Err = D.error();
       return false;
     }
@@ -1704,7 +1711,7 @@ bool herbgrind::parseLedgerEntry(const std::string &Text, LedgerEntry &Out,
   if (!checkBinaryHeader(D, wire::Family::Ledger, "herbgrind-ledger",
                          LedgerFormatMajor, Err))
     return false;
-  if (!decodeLedgerBody(D, Out)) {
+  if (!decodeLedgerBody(D, Out, D.minor())) {
     Err = D.error();
     return false;
   }

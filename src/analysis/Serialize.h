@@ -303,9 +303,10 @@ bool mergeTelemetry(const std::vector<std::string> &DocTexts,
 /// Run-ledger document version (format "herbgrind-ledger", HGB family
 /// Ledger). Versioned independently: ledger entries persist across many
 /// sweeps, and their schema must be able to grow without touching the
-/// report or telemetry formats.
+/// report or telemetry formats. 1.1 dropped the "batchLanes" config key;
+/// readers still accept 1.0 entries and discard it.
 constexpr int LedgerFormatMajor = 1;
-constexpr int LedgerFormatMinor = 0;
+constexpr int LedgerFormatMinor = 1;
 
 /// One run-ledger envelope: everything needed to recognize a sweep (the
 /// config hash and knobs), place it in time (host, timestamp), and judge
@@ -322,11 +323,11 @@ struct LedgerEntry {
   // Configuration.
   std::string ConfigHash;  ///< engine::configHash() of the sweep.
   std::string WireFormat;  ///< "json" or "binary".
-  std::string Tier;        ///< "full", "confirm", or "fast".
+  std::string Tier;        ///< "full" or "confirm" ("fast" in old
+                           ///< entries).
   uint64_t Jobs = 0;
   uint64_t Samples = 0;
   uint64_t ShardSize = 0;
-  uint64_t BatchLanes = 1;
   // Sweep statistics (the regression axes and their denominators).
   uint64_t Benchmarks = 0;
   uint64_t Shards = 0;

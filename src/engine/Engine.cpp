@@ -25,7 +25,6 @@
 #include <map>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 
 using namespace herbgrind;
 using namespace herbgrind::engine;
@@ -69,15 +68,10 @@ struct Tier0Outcome {
   uint64_t Ops = 0; ///< Shadow ops the predicate analyzer executed.
 };
 
-/// One analyzed shard: its records plus cost accounting. The tier fields
-/// are filled by the fast tier only, whose records cover the escalated
-/// runs alone.
+/// One analyzed shard: its records plus cost accounting.
 struct ShardOutcome {
   AnalysisResult Result;
   uint64_t TraceNodes = 0; ///< Trace nodes the analyzer allocated.
-  uint64_t Tier0Runs = 0;
-  uint64_t Tier0Ops = 0;
-  uint64_t EscalatedRuns = 0;
 };
 
 /// One benchmark the generic sweep driver can run, whatever frontend it
@@ -92,12 +86,11 @@ struct SweepSource {
   /// Cache/wire identity; computed lazily (FPCore printing is not free)
   /// and only when a result cache or emit directory needs it.
   std::function<std::string()> MakeIdentity;
-  /// Analyzes sampled inputs [Begin, End), trace-free or traced (in the
-  /// fast tier: every run at tier 0 first, and only suspect runs under
-  /// the full shadow, whose records are the result); must be callable
-  /// concurrently with itself -- across sources AND across shards of one
-  /// source (work stealing rebalances affine queues). Worker-local
-  /// analyzer state (thread_local) is the only mutable state it may keep.
+  /// Analyzes sampled inputs [Begin, End), trace-free or traced; must be
+  /// callable concurrently with itself -- across sources AND across
+  /// shards of one source (work stealing rebalances affine queues).
+  /// Worker-local analyzer state (thread_local) is the only mutable state
+  /// it may keep.
   std::function<ShardOutcome(
       uint64_t RunId, const std::vector<std::vector<double>> &Inputs,
       size_t Begin, size_t End, bool TraceFree)>
@@ -133,8 +126,6 @@ Engine::Engine(EngineConfig Config) : Cfg(Config) {
     Cfg.ShardSize = 1;
   if (Cfg.ShardEnd < Cfg.ShardBegin)
     Cfg.ShardEnd = Cfg.ShardBegin;
-  if (Cfg.BatchLanes < 1)
-    Cfg.BatchLanes = 1;
   if (!Cfg.CacheDir.empty()) {
     RC = std::make_unique<ResultCache>(Cfg.CacheDir, configHash(Cfg));
     // True LRU recency only matters when something will prune by it.
@@ -264,7 +255,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   std::vector<std::vector<std::vector<double>>> Inputs(Sources.size());
   std::vector<uint64_t> Seeds(Sources.size());
   std::vector<std::string> Identities(Sources.size());
-  std::vector<Shard> Shards;
+  std::vector<Shard> Shards, Layout;
   for (size_t B = 0; B < Sources.size(); ++B) {
     Seeds[B] = deriveSeed(Cfg.Seed, B);
     Inputs[B] = sampleSourceInputs(Sources[B].Ranges,
@@ -273,9 +264,13 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
       Identities[B] = Sources[B].MakeIdentity();
     size_t N = Inputs[B].size();
     size_t Step = static_cast<size_t>(Cfg.ShardSize);
-    for (size_t Lo = 0, Idx = 0; Lo < N; Lo += Step, ++Idx)
+    for (size_t Lo = 0, Idx = 0; Lo < N; Lo += Step, ++Idx) {
+      Shard Sh{B, Idx, Lo, std::min(Lo + Step, N)};
       if (Idx >= Cfg.ShardBegin && Idx < Cfg.ShardEnd)
-        Shards.push_back({B, Idx, Lo, std::min(Lo + Step, N)});
+        Shards.push_back(Sh);
+      if (Cfg.Tier == TierMode::Confirm)
+        Layout.push_back(Sh);
+    }
   }
 
   metrics::gauge("engine.benchmarks").set(static_cast<int64_t>(Sources.size()));
@@ -290,9 +285,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
         format("\"benchmarks\":%zu,\"shards\":%zu,\"runs\":%zu,\"jobs\":%u,"
                "\"tier\":\"%s\"",
                Sources.size(), Shards.size(), SliceRuns, Cfg.Jobs,
-               Cfg.Tier == TierMode::Full      ? "full"
-               : Cfg.Tier == TierMode::Fast    ? "fast"
-                                               : "confirm"));
+               Cfg.Tier == TierMode::Full ? "full" : "confirm"));
   }
 
   BatchResult Out;
@@ -308,12 +301,15 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
   }
 
   // Phase 2a (parallel, Confirm tier only): a predicate-only sweep over
-  // every shard decides per benchmark whether the full shadow is needed
-  // at all. The tier-0 pass is pure native-double arithmetic -- no
-  // BigFloat, no traces -- so running it over the whole layout costs a
-  // small fraction of one full shard. Predicate soundness (an erroneous
-  // full-mode spot implies a suspect tier-0 run) is what lets a clean
-  // verdict skip phase 2b for the benchmark without changing the report.
+  // every shard of the layout decides per benchmark whether the full
+  // shadow is needed at all. The tier-0 pass is pure native-double
+  // arithmetic -- no BigFloat, no traces -- so running it over the whole
+  // layout costs a small fraction of one full shard. Predicate soundness
+  // (an erroneous full-mode spot implies a suspect tier-0 run) is what
+  // lets a clean verdict skip phase 2b for the benchmark without changing
+  // the report. A shard-range slice sweeps the whole layout too, so every
+  // slice of one layout reaches the same verdict and the slices merge to
+  // the whole-layout report.
   std::vector<char> BenchSuspect(Sources.size(),
                                  Cfg.Tier != TierMode::Confirm ? 1 : 0);
   std::atomic<uint64_t> Tier0Runs{0}, Tier0Ops{0}, EscalatedRuns{0};
@@ -324,10 +320,10 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
     for (auto &F : SuspectFlags)
       F.store(0, std::memory_order_relaxed);
     ThreadPool Pool(Cfg.Jobs);
-    for (size_t S = 0; S < Shards.size(); ++S)
-      Pool.submitTo(Shards[S].Bench, [S, RunId, &Shards, &Sources, &Inputs,
+    for (size_t S = 0; S < Layout.size(); ++S)
+      Pool.submitTo(Layout[S].Bench, [S, RunId, &Layout, &Sources, &Inputs,
                                       &SuspectFlags, &Tier0Runs, &Tier0Ops] {
-        const Shard &Sh = Shards[S];
+        const Shard &Sh = Layout[S];
         // A benchmark already marked suspect needs no further verdicts;
         // the remaining tier-0 shards are skipped, not run for show.
         if (SuspectFlags[Sh.Bench].load(std::memory_order_relaxed))
@@ -501,21 +497,7 @@ static BatchResult runSweepImpl(const EngineConfig &Cfg, ResultCache *RC,
           Result = std::move(O.Result);
           // Tier accounting counts each shard's runs once: a traced
           // replay re-executes the same escalations.
-          if (HadTraceFree) {
-            // Counted by the shard's trace-free analysis.
-          } else if (Cfg.Tier == TierMode::Fast) {
-            Tier0Runs += O.Tier0Runs;
-            Tier0Ops += O.Tier0Ops;
-            EscalatedRuns += O.EscalatedRuns;
-            MTier0Runs.add(O.Tier0Runs);
-            MTier0Ops.add(O.Tier0Ops);
-            MTierEscalations.add(O.EscalatedRuns);
-            if (O.EscalatedRuns > 0 && events::enabled())
-              events::emit("shard.escalated",
-                           EvArgs + format(",\"escalated\":%llu",
-                                           static_cast<unsigned long long>(
-                                               O.EscalatedRuns)));
-          } else if (Cfg.Tier == TierMode::Confirm) {
+          if (!HadTraceFree && Cfg.Tier == TierMode::Confirm) {
             // Every run of a suspect benchmark replays under the full
             // shadow: that is the escalation cost of this tier.
             EscalatedRuns += Sh.End - Sh.Begin;
@@ -797,14 +779,13 @@ analyzeShardWorkerLocal(uint64_t RunId, const void *Key, bool TraceFree,
 /// verdict. Each call site instantiates its own thread_local cache (the
 /// Make/RunOne lambda types are part of the template identity), so a
 /// tier-0 analyzer can never be mistaken for a full one even under the
-/// same (RunId, Key). \p Lanes above 1 hands whole batches to
-/// Herbgrind::runOnBatch; native kernels always run one point at a time.
+/// same (RunId, Key).
 template <typename Analyzer, typename MakeFn, typename RunOneFn>
 static Tier0Outcome
 tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
                       RunOneFn RunOne,
                       const std::vector<std::vector<double>> &Inputs,
-                      size_t Begin, size_t End, unsigned Lanes = 1) {
+                      size_t Begin, size_t End) {
   struct Worker {
     uint64_t Run = 0;
     const void *Key = nullptr;
@@ -820,111 +801,23 @@ tier0ShardWorkerLocal(uint64_t RunId, const void *Key, MakeFn Make,
   }
   Tier0Outcome Out;
   uint64_t Ops0 = W.A->stats().ShadowOpsExecuted;
-  if (Lanes <= 1) {
-    for (size_t I = Begin; I < End; ++I) {
-      RunOne(*W.A, Inputs[I]);
-      ++Out.Runs;
-      if (W.A->lastRunSuspect()) {
-        Out.Suspect = true;
-        break; // One suspect run settles the shard's verdict.
-      }
-    }
-  } else if constexpr (std::is_same_v<Analyzer, Herbgrind>) {
-    // Batched: verdicts scan in lane order and Runs counts scanned lanes,
-    // so the suspect verdict and run accounting match the scalar loop's
-    // early break exactly. The batch may have *executed* lanes past the
-    // first suspect one -- Ops is informational and may exceed scalar's.
-    for (size_t I = Begin; I < End && !Out.Suspect; I += Lanes) {
-      size_t N = std::min<size_t>(Lanes, End - I);
-      W.A->runOnBatch(&Inputs[I], N);
-      const std::vector<uint8_t> &Suspects = W.A->laneSuspects();
-      for (size_t L = 0; L < N; ++L) {
-        ++Out.Runs;
-        if (Suspects[L]) {
-          Out.Suspect = true;
-          break;
-        }
-      }
+  for (size_t I = Begin; I < End; ++I) {
+    RunOne(*W.A, Inputs[I]);
+    ++Out.Runs;
+    if (W.A->lastRunSuspect()) {
+      Out.Suspect = true;
+      break; // One suspect run settles the shard's verdict.
     }
   }
   Out.Ops = W.A->stats().ShadowOpsExecuted - Ops0;
   return Out;
 }
 
-/// Fast-tier sibling: one worker-local *pair* of analyzers -- tier-0
-/// predicates and the full shadow -- sweeps the slice; every run executes
-/// at tier 0 and only suspect runs replay under the full shadow. The
-/// escalation decision is per-run deterministic, and escalated runs
-/// accumulate in sampling order, so fast-tier sweeps stay byte-identical
-/// across worker counts like everything else in the engine.
-template <typename Analyzer, typename MakeT0Fn, typename MakeFullFn,
-          typename RunOneFn>
-static ShardOutcome
-fastShardWorkerLocal(uint64_t RunId, const void *Key, bool TraceFree,
-                     MakeT0Fn MakeT0, MakeFullFn MakeFull, RunOneFn RunOne,
-                     const std::vector<std::vector<double>> &Inputs,
-                     size_t Begin, size_t End, unsigned Lanes = 1) {
-  struct Worker {
-    uint64_t Run = 0;
-    const void *Key = nullptr;
-    bool TraceFree = false;
-    std::unique_ptr<Analyzer> T0;
-    std::unique_ptr<Analyzer> Full;
-  };
-  thread_local Worker W;
-  if (W.Run == RunId && W.Key == Key && W.TraceFree == TraceFree && W.T0 &&
-      W.Full) {
-    W.T0->reset();
-    W.Full->reset();
-  } else {
-    W.T0 = MakeT0();
-    W.Full = MakeFull();
-    W.Run = RunId;
-    W.Key = Key;
-    W.TraceFree = TraceFree;
-  }
-  ShardOutcome Out;
-  uint64_t Ops0 = W.T0->stats().ShadowOpsExecuted;
-  size_t Nodes0 = W.Full->stats().TraceNodesAllocated;
-  if (Lanes <= 1) {
-    for (size_t I = Begin; I < End; ++I) {
-      RunOne(*W.T0, Inputs[I]);
-      ++Out.Tier0Runs;
-      if (W.T0->lastRunSuspect()) {
-        RunOne(*W.Full, Inputs[I]);
-        ++Out.EscalatedRuns;
-      }
-    }
-  } else if constexpr (std::is_same_v<Analyzer, Herbgrind>) {
-    // Batched: tier 0 sweeps whole batches, then suspect lanes escalate
-    // scalar in ascending lane order. Per-lane verdicts are independent
-    // of batching, so the full analyzer sees exactly the scalar loop's
-    // escalation sequence and its records stay byte-identical.
-    for (size_t I = Begin; I < End; I += Lanes) {
-      size_t N = std::min<size_t>(Lanes, End - I);
-      W.T0->runOnBatch(&Inputs[I], N);
-      const std::vector<uint8_t> &Suspects = W.T0->laneSuspects();
-      Out.Tier0Runs += N;
-      for (size_t L = 0; L < N; ++L)
-        if (Suspects[L]) {
-          RunOne(*W.Full, Inputs[I + L]);
-          ++Out.EscalatedRuns;
-        }
-    }
-  }
-  Out.Tier0Ops = W.T0->stats().ShadowOpsExecuted - Ops0;
-  Out.TraceNodes = W.Full->stats().TraceNodesAllocated - Nodes0;
-  Out.Result = W.Full->snapshot();
-  return Out;
-}
-
 /// Wraps one FPCore core as a sweep source: analysis runs a worker-local
-/// Herbgrind instance over the compiled program (\p Fast: the fast tier's
-/// pair). \p Lanes batches the tier-0 runs of the confirm and fast tiers.
+/// Herbgrind instance over the compiled program.
 static SweepSource coreSource(const fpcore::Core &C,
                               fpcore::ProgramCache &Cache,
-                              const AnalysisConfig &ACfg, bool Fast,
-                              unsigned Lanes) {
+                              const AnalysisConfig &ACfg) {
   SweepSource Src;
   Src.Name = C.Name;
   std::vector<std::pair<double, double>> Ranges;
@@ -938,29 +831,24 @@ static SweepSource coreSource(const fpcore::Core &C,
   AnalysisConfig FreeCfg = ACfg, PCfg = ACfg;
   FreeCfg.TraceFree = true;
   PCfg.PredicateOnly = true;
-  Src.AnalyzeShard = [&C, &Cache, &ACfg, FreeCfg, PCfg, Fast, RunOne, Lanes](
+  Src.AnalyzeShard = [&C, &Cache, &ACfg, FreeCfg, RunOne](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
                          size_t Begin, size_t End, bool TraceFree) {
     const Program &P = Cache.get(C);
     const AnalysisConfig &A = TraceFree ? FreeCfg : ACfg;
     auto Make = [&] { return std::make_unique<Herbgrind>(P, A); };
-    if (Fast)
-      return fastShardWorkerLocal<Herbgrind>(
-          RunId, &P, TraceFree,
-          [&] { return std::make_unique<Herbgrind>(P, PCfg); }, Make, RunOne,
-          Inputs, Begin, End, Lanes);
     return analyzeShardWorkerLocal<Herbgrind>(RunId, &P, TraceFree, Make,
                                               RunOne, Inputs, Begin, End);
   };
-  Src.Tier0Shard = [&C, &Cache, PCfg, RunOne, Lanes](
+  Src.Tier0Shard = [&C, &Cache, PCfg, RunOne](
                        uint64_t RunId,
                        const std::vector<std::vector<double>> &Inputs,
                        size_t Begin, size_t End) {
     const Program &P = Cache.get(C);
     return tier0ShardWorkerLocal<Herbgrind>(
         RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
-        RunOne, Inputs, Begin, End, Lanes);
+        RunOne, Inputs, Begin, End);
   };
   return Src;
 }
@@ -970,7 +858,7 @@ static SweepSource coreSource(const fpcore::Core &C,
 /// content-hashed op identities are what keep this mergeable and cacheable
 /// exactly like the interpreter path.
 static SweepSource kernelSource(const native::Kernel &K,
-                                const AnalysisConfig &ACfg, bool Fast) {
+                                const AnalysisConfig &ACfg) {
   SweepSource Src;
   Src.Name = K.Name;
   for (const native::Kernel::InputRange &R : K.Inputs)
@@ -982,17 +870,12 @@ static SweepSource kernelSource(const native::Kernel &K,
   AnalysisConfig FreeCfg = ACfg, PCfg = ACfg;
   FreeCfg.TraceFree = true;
   PCfg.PredicateOnly = true;
-  Src.AnalyzeShard = [&ACfg, FreeCfg, PCfg, Fast, RunOne, &K](
+  Src.AnalyzeShard = [&ACfg, FreeCfg, RunOne, &K](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
                          size_t Begin, size_t End, bool TraceFree) {
     const AnalysisConfig &A = TraceFree ? FreeCfg : ACfg;
     auto Make = [&] { return std::make_unique<native::Context>(A); };
-    if (Fast)
-      return fastShardWorkerLocal<native::Context>(
-          RunId, &K, TraceFree,
-          [&] { return std::make_unique<native::Context>(PCfg); }, Make,
-          RunOne, Inputs, Begin, End);
     return analyzeShardWorkerLocal<native::Context>(
         RunId, &K, TraceFree, Make, RunOne, Inputs, Begin, End);
   };
@@ -1020,12 +903,10 @@ BatchResult Engine::run(const std::vector<fpcore::Core> &Cores,
   size_t CacheHits0 = Cache.hits(), CacheMisses0 = Cache.misses();
   std::vector<SweepSource> Sources;
   Sources.reserve(Cores.size() + Kernels.size());
-  const bool Fast = Cfg.Tier == TierMode::Fast;
   for (const fpcore::Core &C : Cores)
-    Sources.push_back(
-        coreSource(C, Cache, Cfg.Analysis, Fast, Cfg.BatchLanes));
+    Sources.push_back(coreSource(C, Cache, Cfg.Analysis));
   for (const native::Kernel &K : Kernels)
-    Sources.push_back(kernelSource(K, Cfg.Analysis, Fast));
+    Sources.push_back(kernelSource(K, Cfg.Analysis));
   BatchResult Out = runSweepImpl(Cfg, RC.get(), Sources);
   Out.Stats.CacheHits = Cache.hits() - CacheHits0;
   Out.Stats.CacheMisses = Cache.misses() - CacheMisses0;

@@ -64,23 +64,15 @@ class ResultCache;
 enum class TierMode {
   /// Every run carries the full 256-bit shadow. The baseline.
   Full,
-  /// Per-run escalation: every sampled input first executes under the
-  /// cheap tier-0 error predicates (native doubles, no BigFloat); only
-  /// runs whose spot predicates cannot rule out an erroneous observation
-  /// re-execute under the full shadow. Reports contain only escalated
-  /// runs, so root causes are a subset of Full's (predicate soundness
-  /// makes the *erroneous* set complete, but Executions/Flagged counts
-  /// differ); cached shards live under a distinct "tier=fast" hash so
-  /// they never alias Full entries.
-  Fast,
-  /// Per-benchmark confirmation (the default tiered mode): a parallel
-  /// tier-0 pass sweeps every shard first, then benchmarks with at least
-  /// one suspect run re-run under the full shadow. Predicate soundness
-  /// (a full-mode erroneous spot implies a tier-0 suspect run) makes the
-  /// final report byte-identical to Full's; confirmed shards store
-  /// genuine full records, so Confirm shares Full's cache hash and the
-  /// two modes warm each other's caches. Clean benchmarks fold empty
-  /// records (their Full report is empty too) and are never cached.
+  /// Per-benchmark confirmation: a parallel tier-0 pass (cheap error
+  /// predicates over native doubles, no BigFloat) sweeps every shard of
+  /// the layout first, then benchmarks with at least one suspect run
+  /// re-run under the full shadow. Predicate soundness (a full-mode
+  /// erroneous spot implies a tier-0 suspect run) makes the final report
+  /// byte-identical to Full's; confirmed shards store genuine full
+  /// records, so Confirm shares Full's cache hash and the two modes warm
+  /// each other's caches. Clean benchmarks fold empty records (their Full
+  /// report is empty too) and are never cached.
   Confirm,
 };
 
@@ -97,8 +89,8 @@ struct EngineConfig {
   uint64_t Seed = 0xcafe;
   /// Per-shard analysis configuration.
   AnalysisConfig Analysis;
-  /// Shadowing tier (see TierMode). Part of the config hash only for
-  /// Fast (whose records genuinely differ); Confirm shares Full's hash.
+  /// Shadowing tier (see TierMode). Not part of the config hash: Confirm
+  /// records are Full's, so the two tiers share cache entries.
   TierMode Tier = TierMode::Full;
   /// Persistent shard-result cache directory; empty disables caching.
   /// Cached shards skip analysis entirely and fold into the sweep through
@@ -121,16 +113,6 @@ struct EngineConfig {
   /// full sweep's report.
   size_t ShardBegin = 0;
   size_t ShardEnd = std::numeric_limits<size_t>::max();
-  /// Sample points each tier-0 analyzer call processes at once
-  /// (docs/ARCHITECTURE.md, "Batched evaluation"). It only affects the
-  /// tier-0 runs of FPCore benchmarks, in the confirm and fast tiers: a
-  /// straight-line all-F64 program then runs its lanes through the
-  /// struct-of-arrays predicate pipeline. Full-shadow runs and native
-  /// kernels always run the scalar point-at-a-time loop. Purely a
-  /// scheduling knob -- reports are byte-identical at every lane count, so
-  /// like Jobs it is deliberately absent from the config hash and batched
-  /// sweeps share scalar sweeps' caches.
-  unsigned BatchLanes = 1;
   /// Wire encoding for documents this sweep WRITES (cache stores and
   /// emitted shards): JSON or compact HGB binary. Readers always sniff,
   /// so a sweep consumes either format regardless. Deliberately absent

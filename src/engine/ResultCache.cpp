@@ -36,10 +36,8 @@ std::string herbgrind::engine::configHash(const EngineConfig &Cfg) {
   const AnalysisConfig &A = Cfg.Analysis;
   // A canonical description of everything that can change a shard's
   // records. Doubles print shortest-round-trip, so distinct values never
-  // collapse. Jobs / BatchLanes / cache and emit directories / shard-range
-  // selection are deliberately absent: they affect scheduling, not values
-  // (batched execution is byte-identical to scalar, so batched and scalar
-  // sweeps warm each other's caches).
+  // collapse. Jobs / cache and emit directories / shard-range selection
+  // are deliberately absent: they affect scheduling, not values.
   std::string Canon = format(
       "herbgrind-wire-v%d|samples=%d|shardSize=%d|seed=%llu|Tl=%s|Tm=%s|"
       "prec=%zu|maxDepth=%u|equivDepth=%u|wrapLibm=%d|comp=%d|ranges=%d|"
@@ -52,13 +50,9 @@ std::string herbgrind::engine::configHash(const EngineConfig &Cfg) {
       A.DetectCompensation ? 1 : 0, static_cast<int>(A.Ranges),
       A.UseTypeAnalysis ? 1 : 0, A.SharedShadowValues ? 1 : 0,
       A.UsePools ? 1 : 0, static_cast<unsigned long long>(A.MaxSteps));
-  // The fast tier's records cover escalated runs only, so they must
-  // never alias a full sweep's. Confirm-tier records ARE full records
-  // (suspect benchmarks replay under the full shadow; clean ones skip
-  // the cache entirely), so Confirm deliberately shares Full's hash --
-  // appending nothing also keeps every pre-tier cache entry valid.
-  if (Cfg.Tier == TierMode::Fast)
-    Canon += "|tier=fast";
+  // The tier is absent too: Confirm-tier records ARE full records
+  // (suspect benchmarks replay under the full shadow; clean ones skip the
+  // cache entirely), so Confirm deliberately shares Full's hash.
   return format("%016llx",
                 static_cast<unsigned long long>(fnv1a64(Canon)));
 }

@@ -59,15 +59,7 @@ std::string herbgrind::engine::isoTimestampUtc(uint64_t UnixSeconds) {
 }
 
 static const char *tierName(TierMode T) {
-  switch (T) {
-  case TierMode::Full:
-    return "full";
-  case TierMode::Fast:
-    return "fast";
-  case TierMode::Confirm:
-    return "confirm";
-  }
-  return "?";
+  return T == TierMode::Full ? "full" : "confirm";
 }
 
 LedgerEntry herbgrind::engine::makeLedgerEntry(const EngineConfig &Cfg,
@@ -84,7 +76,6 @@ LedgerEntry herbgrind::engine::makeLedgerEntry(const EngineConfig &Cfg,
   E.Jobs = Cfg.Jobs;
   E.Samples = static_cast<uint64_t>(Cfg.SamplesPerBenchmark);
   E.ShardSize = static_cast<uint64_t>(Cfg.ShardSize);
-  E.BatchLanes = Cfg.BatchLanes;
   E.Benchmarks = Stats.Benchmarks;
   E.Shards = Stats.Shards;
   E.Runs = Stats.Runs;

@@ -31,7 +31,6 @@
 #include <algorithm>
 #include <cassert>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -221,19 +220,6 @@ inline std::string sweepJson(const std::vector<fpcore::Core> &Cores,
   return engine::Engine(Cfg).run(Cores, Kernels).renderJson();
 }
 
-/// The (spot pc, root-cause pc) pairs a batch result reports, per
-/// benchmark name: the contract surface of `--tier fast` (a subset of
-/// full's) and of the corpus gate.
-inline std::set<std::pair<std::string, std::pair<uint32_t, uint32_t>>>
-rootCauseSet(const engine::BatchResult &R) {
-  std::set<std::pair<std::string, std::pair<uint32_t, uint32_t>>> Out;
-  for (const engine::BenchmarkResult &BR : R.Benchmarks)
-    for (const SpotReport &S : BR.Rep.Spots)
-      for (const RootCauseReport &RC : S.RootCauses)
-        Out.insert({BR.Name, {S.PC, RC.PC}});
-  return Out;
-}
-
 /// A scoped temp directory under the system temp root.
 struct ScratchDir {
   std::string Path;
@@ -294,8 +280,7 @@ tracedSliceDocs(const std::vector<fpcore::Core> &Cores,
 
 /// The report the traced oracle folds (mergeShards over the two traced
 /// slices' documents). Confirm tier's oracle is the full tier's: the two
-/// must agree byte for byte, while a confirm slice clears benchmarks by
-/// its own tier-0 pass alone.
+/// must agree byte for byte.
 inline std::string tracedOracleJson(const std::vector<fpcore::Core> &Cores,
                                     const std::vector<native::Kernel> &Kernels,
                                     engine::EngineConfig Cfg) {

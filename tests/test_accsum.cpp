@@ -10,13 +10,15 @@
 // Kahan's compensated loop -- whose *interval* bound would grow exactly
 // as fast as the naive one's -- must be cleared by the running-error
 // (Delta, Noise) estimate without a single BigFloat operation. The same
-// split is then checked through the batch engine's confirm and fast
-// tiers, including report byte-identity against the full tier.
+// split is then checked run by run on sampled inputs, and through the
+// batch engine's confirm tier, including report byte-identity against the
+// full tier.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
 #include "herbgrind/Herbgrind.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -153,23 +155,25 @@ TEST(AccSum, ConfirmTierSplitsTheBenchmarks) {
   EXPECT_EQ(Full.Stats.ConfirmedBenchmarks, 0u);
 }
 
-TEST(AccSum, FastTierEscalatesOnlyWhatItMust) {
-  std::vector<native::Kernel> Kernels;
-  Kernels.push_back(makeKernel("accsum naive", "naive", kernelNaiveSum));
-  Kernels.push_back(makeKernel("accsum kahan", "kahan", kernelKahanSum));
-  std::vector<fpcore::Core> NoCores;
-
-  engine::EngineConfig Cfg;
-  Cfg.Jobs = 2;
-  Cfg.SamplesPerBenchmark = 8;
-  Cfg.Tier = engine::TierMode::Fast;
-  engine::BatchResult Fast = engine::Engine(Cfg).run(NoCores, Kernels);
-
-  // Every naive run escalates; the suspect set stays strictly below the
-  // whole workload (Kahan runs overwhelmingly clear).
-  EXPECT_GE(Fast.Stats.EscalatedRuns, 8u);
-  EXPECT_LT(Fast.Stats.EscalatedRuns, Fast.Stats.Runs);
-  std::set<std::string> Flagged = flaggedBenchmarks(Fast);
-  EXPECT_EQ(Flagged.count("accsum naive"), 1u);
-  EXPECT_EQ(Flagged.count("accsum kahan"), 0u);
+TEST(AccSum, Tier0EscalatesOnlyWhatItMust) {
+  // Per run, on the sampled inputs the engine would draw from: every
+  // naive run is suspect; Kahan runs overwhelmingly clear.
+  native::Kernel Naive = makeKernel("accsum naive", "naive", kernelNaiveSum);
+  native::Kernel Kahan = makeKernel("accsum kahan", "kahan", kernelKahanSum);
+  AnalysisConfig PredCfg;
+  PredCfg.PredicateOnly = true;
+  native::Context CN(PredCfg), CK(PredCfg);
+  Rng R(0xacc5u);
+  const int Runs = 16;
+  int KahanSuspect = 0;
+  for (int I = 0; I < Runs; ++I) {
+    std::vector<double> In;
+    for (const native::Kernel::InputRange &VR : Naive.Inputs)
+      In.push_back(R.betweenOrdinals(VR.Lo, VR.Hi));
+    CN.run(Naive, In);
+    EXPECT_TRUE(CN.lastRunSuspect()) << "naive run " << I;
+    CK.run(Kahan, In);
+    KahanSuspect += CK.lastRunSuspect() ? 1 : 0;
+  }
+  EXPECT_LT(KahanSuspect, Runs / 4);
 }

@@ -900,7 +900,6 @@ TEST_F(TelemetryTest, LedgerEntryRoundTripsByteIdenticallyInBothFormats) {
   E.Jobs = 4;
   E.Samples = 64;
   E.ShardSize = 16;
-  E.BatchLanes = 8;
   E.Benchmarks = 3;
   E.Shards = 12;
   E.Runs = 192;
@@ -942,6 +941,70 @@ TEST_F(TelemetryTest, LedgerEntryRoundTripsByteIdenticallyInBothFormats) {
   Bumped.replace(At, Needle.size(),
                  format("\"major\":%d", LedgerFormatMajor + 1));
   EXPECT_FALSE(parseLedgerEntry(Bumped, Back, Err));
+}
+
+TEST_F(TelemetryTest, LedgerReadsPinnedMinor0EntriesAndComparesAcrossMinors) {
+  // A 1.0 entry, as 1.0 writers rendered it: its config still carries the
+  // retired "batchLanes" knob, which 1.1 readers accept and discard.
+  const std::string Json10 =
+      "{\"format\":\"herbgrind-ledger\",\"version\":{\"major\":1,\"minor\":0},"
+      "\"meta\":{\"host\":\"ci-host\",\"timestamp\":\"2026-08-08T00:00:01Z\","
+      "\"timestampNs\":1000,\"label\":\"sweep\"},\"config\":{\"hash\":"
+      "\"deadbeef\",\"wireFormat\":\"json\",\"tier\":\"confirm\",\"jobs\":4,"
+      "\"samples\":64,\"shardSize\":16,\"batchLanes\":8},\"stats\":{"
+      "\"benchmarks\":3,\"shards\":12,\"runs\":192,\"analyzedShards\":10,"
+      "\"cachedShards\":2,\"rcacheHits\":2,\"rcacheMisses\":10,"
+      "\"limbHeapAllocs\":17,\"limbCacheHits\":372,\"tier0Runs\":192,"
+      "\"escalatedRuns\":64,\"poolTasks\":24,\"poolSteals\":3,"
+      "\"wallSeconds\":1.25},\"counters\":[],\"gauges\":[],\"timers\":[]}";
+  // The same entry in HGB 1.0 (positional: the u64 after shardSize is
+  // batchLanes).
+  static const char Hgb10Bytes[] =
+      "\x89\x48\x47\x42\x06\x01\x00\x00\x00\x07\x63\x69\x2d\x68\x6f\x73"
+      "\x74\x00\x14\x32\x30\x32\x36\x2d\x30\x38\x2d\x30\x38\x54\x30\x30"
+      "\x3a\x30\x30\x3a\x30\x31\x5a\xe8\x07\x00\x05\x73\x77\x65\x65\x70"
+      "\x00\x08\x64\x65\x61\x64\x62\x65\x65\x66\x00\x04\x6a\x73\x6f\x6e"
+      "\x00\x07\x63\x6f\x6e\x66\x69\x72\x6d\x04\x40\x10\x08\x03\x0c\xc0"
+      "\x01\x0a\x02\x02\x0a\x11\xf4\x02\xc0\x01\x40\x18\x03\x00\x00\x00"
+      "\x00\x00\x00\xf4\x3f\x00\x00\x00";
+  const std::string Hgb10(Hgb10Bytes, sizeof(Hgb10Bytes) - 1);
+
+  LedgerEntry FromJson, FromHgb;
+  std::string Err;
+  ASSERT_TRUE(parseLedgerEntry(Json10, FromJson, Err)) << Err;
+  ASSERT_TRUE(parseLedgerEntry(Hgb10, FromHgb, Err)) << Err;
+  EXPECT_EQ(FromJson.ShardSize, 16u);
+  EXPECT_EQ(FromJson.Benchmarks, 3u);
+  EXPECT_EQ(FromJson.WallSeconds, 1.25);
+  // Re-rendered, both are the same 1.1 entry, without the retired key.
+  std::string Json11 = renderLedgerEntryJson(FromJson);
+  EXPECT_EQ(renderLedgerEntryJson(FromHgb), Json11);
+  EXPECT_EQ(Json11.find("batchLanes"), std::string::npos);
+  EXPECT_NE(Json11.find(format("\"minor\":%d", LedgerFormatMinor)),
+            std::string::npos);
+  LedgerEntry Back;
+  ASSERT_TRUE(parseLedgerEntry(Json11, Back, Err)) << Err;
+  EXPECT_EQ(renderLedgerEntryJson(Back), Json11);
+
+  // `ledger compare` across the format bump: a 1.0 baseline on disk
+  // against a 1.1 entry appended after it.
+  TempDir Dir("ledger-minors");
+  std::ofstream(Dir.Path + "/entry-1000-1.json") << Json10 << "\n";
+  LedgerEntry Cur = FromJson;
+  Cur.TimestampNanos = 2000;
+  Cur.WallSeconds = 2.5;
+  std::string Path;
+  ASSERT_TRUE(ledgerAppend(Dir.Path, Cur, WireEncoding::Binary, Path, Err))
+      << Err;
+  std::vector<LedgerEntry> Entries;
+  std::vector<std::string> Paths;
+  ASSERT_TRUE(ledgerList(Dir.Path, Entries, Paths, Err)) << Err;
+  ASSERT_EQ(Entries.size(), 2u);
+  auto R = ledgerCompare(Entries[0], Entries[1]);
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_EQ(R[0].Metric, "wall_seconds");
+  Entries[1].WallSeconds = 1.3;
+  EXPECT_TRUE(ledgerCompare(Entries[0], Entries[1]).empty());
 }
 
 TEST_F(TelemetryTest, LedgerAppendListsChronologicallyAndMixesFormats) {

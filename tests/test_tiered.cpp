@@ -9,9 +9,11 @@
 //
 //   1. Confirm tier reports are BYTE-identical to full-tier reports --
 //      across random FPCore cores, random native kernels, worker counts,
-//      cold and warm result caches, and the emit/merge-shards path.
-//   2. Fast tier reports are deterministic across worker counts, and
-//      their (spot, root cause) pairs are a subset of full's.
+//      cold and warm result caches, the emit/merge-shards path, and
+//      merged shard-range slices.
+//   2. Tier 0 is sound run by run: every input whose full-shadow run
+//      observes an erroneous spot is a suspect run of the predicate-only
+//      analyzer, and a benign program has no suspect run.
 //   3. The tier accounting holds: clean benchmarks never touch the full
 //      shadow in confirm mode, escalation stays below 100% on mixed
 //      workloads, and full mode keeps every tier counter at zero.
@@ -76,6 +78,67 @@ fpcore::Core cancellingCore() {
       return C.clone();
   ADD_FAILURE() << "corpus benchmark missing";
   return benignCore();
+}
+
+/// Runs \p Runs sampled inputs through a full-shadow analyzer and a
+/// predicate-only one, one run at a time, and checks the per-run
+/// soundness contract: a run whose full shadow observes an erroneous spot
+/// is suspect at tier 0. Returns the number of suspect runs.
+template <typename Analyzer, typename MakeFn, typename RunFn>
+int expectTier0FlagsErroneousRuns(
+    MakeFn Make, RunFn Run,
+    const std::vector<std::pair<double, double>> &Ranges, uint64_t Seed,
+    int Runs, const std::string &Ctx) {
+  AnalysisConfig PredCfg;
+  PredCfg.PredicateOnly = true;
+  std::unique_ptr<Analyzer> Full = Make(AnalysisConfig());
+  std::unique_ptr<Analyzer> T0 = Make(PredCfg);
+  Rng R(Seed);
+  int Suspect = 0;
+  for (int I = 0; I < Runs; ++I) {
+    std::vector<double> In;
+    for (const auto &[Lo, Hi] : Ranges)
+      In.push_back(R.betweenOrdinals(Lo, Hi));
+    Full->reset();
+    Run(*Full, In);
+    Run(*T0, In);
+    Suspect += T0->lastRunSuspect() ? 1 : 0;
+    for (const auto &[PC, Spot] : Full->spotRecords())
+      EXPECT_TRUE(Spot.Erroneous == 0 || T0->lastRunSuspect())
+          << Ctx << " run " << I << ": spot " << PC
+          << " is erroneous under the full shadow but tier 0 cleared "
+             "the run";
+  }
+  return Suspect;
+}
+
+int expectTier0FlagsErroneousRuns(const fpcore::Core &C, uint64_t Seed,
+                                  int Runs) {
+  Program P = fpcore::compile(C);
+  std::vector<std::pair<double, double>> Ranges;
+  for (const fpcore::VarRange &VR : fpcore::sampleRanges(C))
+    Ranges.push_back({VR.Lo, VR.Hi});
+  return expectTier0FlagsErroneousRuns<Herbgrind>(
+      [&P](const AnalysisConfig &A) {
+        return std::make_unique<Herbgrind>(P, A);
+      },
+      [](Herbgrind &HG, const std::vector<double> &In) { HG.runOnInput(In); },
+      Ranges, Seed, Runs, C.Name);
+}
+
+int expectTier0FlagsErroneousRuns(const native::Kernel &K, uint64_t Seed,
+                                  int Runs) {
+  std::vector<std::pair<double, double>> Ranges;
+  for (const native::Kernel::InputRange &VR : K.Inputs)
+    Ranges.push_back({VR.Lo, VR.Hi});
+  return expectTier0FlagsErroneousRuns<native::Context>(
+      [](const AnalysisConfig &A) {
+        return std::make_unique<native::Context>(A);
+      },
+      [&K](native::Context &C, const std::vector<double> &In) {
+        C.run(K, In);
+      },
+      Ranges, Seed, Runs, K.Name);
 }
 
 } // namespace
@@ -184,75 +247,45 @@ TEST(TieredDiff, ConfirmEmittedShardsMergeToFullReport) {
             sweepJson(Cores, Kernels, smallConfig(1, TierMode::Full)));
 }
 
-//===----------------------------------------------------------------------===//
-// Fast tier: determinism and the subset contract
-//===----------------------------------------------------------------------===//
-
-TEST(TieredDiff, FastIsDeterministicAcrossWorkerCounts) {
-  std::vector<fpcore::Core> Cores = randomCores(0x7040, 6);
-  std::vector<native::Kernel> Kernels = randomKernels(0x7040, 3);
-  std::string One = sweepJson(Cores, Kernels, smallConfig(1, TierMode::Fast));
-  EXPECT_EQ(One, sweepJson(Cores, Kernels, smallConfig(4, TierMode::Fast)));
-  EXPECT_EQ(One, sweepJson(Cores, Kernels, smallConfig(7, TierMode::Fast)));
+TEST(TieredDiff, ConfirmSlicesMergeToWholeConfirmReport) {
+  // Every slice takes its tier-0 verdict from the whole layout, so a
+  // benchmark that only one slice's own shards would confirm is
+  // confirmed (and analyzed) by every slice alike.
+  std::vector<fpcore::Core> Cores = randomCores(0x7035, 6);
+  for (const fpcore::Core &C : fpcore::corpus())
+    if (fpcore::isCompilable(C))
+      Cores.push_back(C.clone());
+  std::vector<native::Kernel> Kernels = randomKernels(0x7035, 3);
+  EngineConfig Cfg = smallConfig(2, TierMode::Confirm);
+  Cfg.SamplesPerBenchmark = 16;
+  Cfg.ShardSize = 4;
+  ScratchDir Dir("confirm-slices");
+  BatchResult Merged;
+  std::string Err;
+  ASSERT_TRUE(mergeShards(tracedSliceDocs(Cores, Kernels, Cfg, Dir.Path),
+                          Merged, Err))
+      << Err;
+  EXPECT_EQ(Merged.renderJson(), sweepJson(Cores, Kernels, Cfg));
 }
 
-TEST(TieredDiff, FastRootCausesAreSubsetOfFull) {
+//===----------------------------------------------------------------------===//
+// Tier 0, run by run
+//===----------------------------------------------------------------------===//
+
+TEST(Tier0Runs, FlagsEveryRunWithAnErroneousSpot) {
+  // Predicate soundness at the run level: every input on which the full
+  // shadow observes an erroneous spot is a suspect tier-0 run.
+  EXPECT_GT(expectTier0FlagsErroneousRuns(cancellingCore(), 0x7041, 32), 0);
   for (uint64_t Seed : {0x7050ULL, 0x7051ULL}) {
-    std::vector<fpcore::Core> Cores = randomCores(Seed, 6);
-    std::vector<native::Kernel> Kernels = randomKernels(Seed, 3);
-    BatchResult Full =
-        Engine(smallConfig(2, TierMode::Full)).run(Cores, Kernels);
-    BatchResult Fast =
-        Engine(smallConfig(2, TierMode::Fast)).run(Cores, Kernels);
-    auto FullSet = rootCauseSet(Full);
-    auto FastSet = rootCauseSet(Fast);
-    for (const auto &Entry : FastSet)
-      EXPECT_TRUE(FullSet.count(Entry))
-          << "seed " << Seed << ": fast-tier root cause (benchmark '"
-          << Entry.first << "', spot " << Entry.second.first << ", op "
-          << Entry.second.second << ") absent from the full sweep";
+    for (const fpcore::Core &C : randomCores(Seed, 6))
+      expectTier0FlagsErroneousRuns(C, Seed, 16);
+    for (const native::Kernel &K : randomKernels(Seed, 3))
+      expectTier0FlagsErroneousRuns(K, Seed, 16);
   }
 }
 
-TEST(TieredDiff, FastReportsEveryErroneousSpotFullReports) {
-  // Predicate soundness at the report level: every erroneous spot the
-  // full shadow finds must survive the fast tier's escalation filter
-  // (fast analyzes only suspect runs, but a spot that is erroneous in
-  // full mode has at least one suspect run by soundness).
-  std::vector<fpcore::Core> Cores;
-  Cores.push_back(cancellingCore());
-  Cores.push_back(benignCore());
-  BatchResult Full = Engine(smallConfig(1, TierMode::Full)).run(Cores);
-  BatchResult Fast = Engine(smallConfig(1, TierMode::Fast)).run(Cores);
-  ASSERT_EQ(Full.Benchmarks.size(), Fast.Benchmarks.size());
-  for (size_t B = 0; B < Full.Benchmarks.size(); ++B) {
-    std::set<uint32_t> FastSpots;
-    for (const SpotReport &S : Fast.Benchmarks[B].Rep.Spots)
-      FastSpots.insert(S.PC);
-    for (const SpotReport &S : Full.Benchmarks[B].Rep.Spots)
-      EXPECT_TRUE(FastSpots.count(S.PC))
-          << Full.Benchmarks[B].Name << " spot " << S.PC;
-  }
-}
-
-TEST(TieredDiff, FastCacheEntriesNeverAliasFull) {
-  EngineConfig FullCfg = smallConfig(1, TierMode::Full);
-  EngineConfig FastCfg = smallConfig(1, TierMode::Fast);
-  EXPECT_NE(configHash(FullCfg), configHash(FastCfg));
-
-  // A warm fast-tier cache satisfies fast-tier sweeps but never a full
-  // sweep of the same configuration.
-  std::vector<fpcore::Core> Cores = randomCores(0x7060, 3);
-  TempDir Cache("fastcache");
-  FastCfg.CacheDir = Cache.Path;
-  FullCfg.CacheDir = Cache.Path;
-  BatchResult FastCold = Engine(FastCfg).run(Cores);
-  EXPECT_GT(FastCold.Stats.AnalyzedShards, 0u);
-  BatchResult FastWarm = Engine(FastCfg).run(Cores);
-  EXPECT_EQ(FastWarm.Stats.AnalyzedShards, 0u);
-  EXPECT_EQ(FastCold.renderJson(), FastWarm.renderJson());
-  BatchResult Full = Engine(FullCfg).run(Cores);
-  EXPECT_EQ(Full.Stats.ResultCacheHits, 0u);
+TEST(Tier0Runs, BenignCoreHasNoSuspectRun) {
+  EXPECT_EQ(expectTier0FlagsErroneousRuns(benignCore(), 0x7042, 32), 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -300,15 +333,6 @@ TEST(TieredStats, FullModeKeepsTierCountersAtZero) {
   EXPECT_EQ(R.Stats.ConfirmedBenchmarks, 0u);
 }
 
-TEST(TieredStats, FastEscalatesOnlySuspectRuns) {
-  std::vector<fpcore::Core> Cores;
-  Cores.push_back(benignCore());
-  BatchResult R = Engine(smallConfig(1, TierMode::Fast)).run(Cores);
-  EXPECT_EQ(R.Stats.EscalatedRuns, 0u);
-  EXPECT_EQ(R.Stats.Tier0Runs, R.Stats.Runs);
-  EXPECT_TRUE(R.Benchmarks[0].Rep.Spots.empty());
-}
-
 //===----------------------------------------------------------------------===//
 // The trace ladder under every tier: byte identity with the traced oracle
 //===----------------------------------------------------------------------===//
@@ -322,7 +346,7 @@ namespace {
 void expectLadderMatchesTracedOracle(
     const std::vector<fpcore::Core> &Cores,
     const std::vector<native::Kernel> &Kernels, const std::string &Ctx) {
-  for (TierMode Tier : {TierMode::Full, TierMode::Confirm, TierMode::Fast}) {
+  for (TierMode Tier : {TierMode::Full, TierMode::Confirm}) {
     std::string Oracle =
         tracedOracleJson(Cores, Kernels, smallConfig(1, Tier));
     for (unsigned Jobs : {1u, 4u}) {
