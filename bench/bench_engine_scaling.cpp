@@ -27,8 +27,10 @@
 // analyze zero shards and emit the same bytes.
 //
 // A trace-arena probe runs a 10^5-iteration loop chain through the arena
-// and gates its trace nodes per op and live-node high watermark, which do
-// not depend on the hardware, under fixed ceilings.
+// and anti-unification and gates its trace nodes per op, its live-node
+// high watermark and its steady-state heap allocations per op (counted by
+// the global operator new in CountingNew.cpp), which do not depend on the
+// hardware, under fixed ceilings.
 //
 // A kernel probe times the 256-bit shadow-real kernels (ns per call) and
 // gates each against mul (sqrt against div) timed in the same process, so
@@ -74,6 +76,11 @@
 using namespace herbgrind;
 using namespace herbgrind::bench;
 using namespace herbgrind::engine;
+
+namespace herbgrind::bench {
+/// Heap allocations made so far on the calling thread (CountingNew.cpp).
+uint64_t threadHeapAllocs();
+} // namespace herbgrind::bench
 
 namespace {
 
@@ -238,23 +245,27 @@ NativeProbe runNativeProbe() {
 /// Trace-arena probe: the accumulation chain s = s + x_i of the loop
 /// benchmarks, run through the arena the way one shadowed op uses it --
 /// build the node, anti-unify it into the site's symbolic expression,
-/// drop the overwritten trace. Nodes per op and the live-node high
-/// watermark are exact counts, so they are gated; ns per op is recorded.
+/// drop the overwritten trace. Nodes per op, the live-node high watermark
+/// and heap allocations per op over the second half of the chain (its
+/// steady state) are exact counts, so they are gated; ns per op is
+/// recorded.
 struct TraceProbe {
   static constexpr uint64_t Iterations = 100000;
   uint32_t MaxDepth = AnalysisConfig().MaxExprDepth;
   double NodesPerOp = 0.0;
   size_t LiveHigh = 0;
+  double HeapAllocsPerOp = 0.0;
   double NsPerOp = 0.0;
 
   /// Ceilings: a bounded arena allocates the op node, its fresh leaf and
   /// an amortized trimmed copy per op, and holds at most a few chain
-  /// lengths of nodes at once.
+  /// lengths of nodes at once; a steady-state round never reaches the heap.
   double nodesPerOpCeiling() const { return 4.0; }
   size_t liveHighCeiling() const { return 6 * size_t(MaxDepth); }
   bool bounded() const {
     return NodesPerOp <= nodesPerOpCeiling() && LiveHigh <= liveHighCeiling();
   }
+  bool allocationFree() const { return HeapAllocsPerOp == 0.0; }
 };
 
 TraceProbe runTraceProbe() {
@@ -263,23 +274,31 @@ TraceProbe runTraceProbe() {
   TraceNode *Sum = Arena.leaf(0.0);
   std::unique_ptr<SymExpr> Expr;
   uint32_t NextVar = 0;
-  std::vector<VarBinding> Bindings;
+  AntiUnifyScratch Scratch;
   double S = 0.0;
+  uint64_t SteadyAllocs0 = 0;
   double Seconds = timeIt([&] {
     for (uint64_t I = 1; I <= TraceProbe::Iterations; ++I) {
+      if (I == TraceProbe::Iterations / 2 + 1)
+        SteadyAllocs0 = threadHeapAllocs();
       double X = 1.0 / static_cast<double>(I);
       S += X;
       TraceNode *Kids[2] = {Sum, Arena.leaf(X)};
       TraceNode *Next = Arena.node(Opcode::AddF64, 0, S, Kids, 2);
       Arena.release(Kids[1]);
-      Expr = Expr ? antiUnify(Arena, Expr.get(), Next, NextVar, Bindings)
-                  : symbolize(Arena, Next);
+      if (Expr)
+        antiUnify(Arena, *Expr, Next, NextVar, Scratch);
+      else
+        Expr = symbolize(Arena, Next);
       // Sampled while the overwritten trace is still held: the peak.
       Probe.LiveHigh = std::max(Probe.LiveHigh, Arena.liveNodes());
       Arena.release(Sum);
       Sum = Next;
     }
   });
+  Probe.HeapAllocsPerOp =
+      static_cast<double>(threadHeapAllocs() - SteadyAllocs0) /
+      static_cast<double>(TraceProbe::Iterations / 2);
   Arena.release(Sum);
   Probe.NodesPerOp = static_cast<double>(Arena.totalAllocated()) /
                      static_cast<double>(TraceProbe::Iterations);
@@ -789,31 +808,50 @@ int main(int Argc, char **Argv) {
   // claim is wall-clock: confirm skips the full shadow for every
   // benchmark tier 0 clears, and only pays off while the escalation
   // fraction stays below 1.0 -- which is the acceptance gate, alongside
-  // confirm's byte-identity.
+  // confirm's byte-identity. The tiers are timed at one worker, in
+  // alternating order, TierReps times each, so machine drift hits both
+  // alike; the median and quartiles are recorded, not gated.
   std::vector<fpcore::Core> TierCores = fpcore::compilableCorpus();
   std::vector<herbgrind::native::Kernel> TierKernels =
       herbgrind::native::demoKernels();
+  const int TierReps = 5;
   EngineConfig TCfg;
-  TCfg.Jobs = JobCounts.back();
+  TCfg.Jobs = 1;
   TCfg.SamplesPerBenchmark = Cfg.SamplesPerBenchmark;
   TCfg.ShardSize = Cfg.ShardSize;
   auto RunTier = [&](TierMode Tier) {
     TCfg.Tier = Tier;
     return Engine(TCfg).run(TierCores, TierKernels);
   };
-  BatchResult TFull = RunTier(TierMode::Full);
-  BatchResult TConfirm = RunTier(TierMode::Confirm);
-  bool TierIdentical = TConfirm.renderJson() == TFull.renderJson();
+  BatchResult TFull, TConfirm;
+  std::vector<double> FullWalls, ConfirmWalls;
+  bool TierIdentical = true;
+  for (int Rep = 0; Rep < TierReps; ++Rep) {
+    for (TierMode Tier : {TierMode::Full, TierMode::Confirm}) {
+      BatchResult R = RunTier(Tier);
+      (Tier == TierMode::Full ? FullWalls : ConfirmWalls)
+          .push_back(R.Stats.WallSeconds);
+      (Tier == TierMode::Full ? TFull : TConfirm) = std::move(R);
+    }
+    TierIdentical = TierIdentical && TConfirm.renderJson() == TFull.renderJson();
+  }
+  // Nearest-rank quartiles (Q = 1, 2, 3 of 4).
+  auto Quartile = [](std::vector<double> V, int Q) {
+    std::sort(V.begin(), V.end());
+    return V[(V.size() - 1) * Q / 4];
+  };
   double ConfirmFraction =
       TFull.Stats.Benchmarks
           ? static_cast<double>(TConfirm.Stats.ConfirmedBenchmarks) /
                 TFull.Stats.Benchmarks
           : 1.0;
-  std::printf("\ntiered shadowing (mixed workload, jobs %u):\n"
-              "  full %.3fs; confirm %.3fs (%llu/%llu benchmarks "
-              "escalated, %.0f%%), identical: %s\n",
-              TCfg.Jobs, TFull.Stats.WallSeconds,
-              TConfirm.Stats.WallSeconds,
+  std::printf("\ntiered shadowing (mixed workload, jobs 1, %d alternating "
+              "reps; median [q1, q3]):\n"
+              "  full %.3fs [%.3f, %.3f]; confirm %.3fs [%.3f, %.3f] "
+              "(%llu/%llu benchmarks escalated, %.0f%%), identical: %s\n",
+              TierReps, Quartile(FullWalls, 2), Quartile(FullWalls, 1),
+              Quartile(FullWalls, 3), Quartile(ConfirmWalls, 2),
+              Quartile(ConfirmWalls, 1), Quartile(ConfirmWalls, 3),
               static_cast<unsigned long long>(
                   TConfirm.Stats.ConfirmedBenchmarks),
               static_cast<unsigned long long>(TFull.Stats.Benchmarks),
@@ -825,11 +863,17 @@ int main(int Argc, char **Argv) {
   if (!AppendLedger(TCfg, TConfirm.Stats, "tier-confirm"))
     return 1;
   std::string TieredJson = format(
-      "{\"full_s\":%s,\"confirm_s\":%s,\"benchmarks\":%llu,"
+      "{\"jobs\":1,\"reps\":%d,\"full_s\":%s,\"full_s_q1\":%s,"
+      "\"full_s_q3\":%s,\"confirm_s\":%s,\"confirm_s_q1\":%s,"
+      "\"confirm_s_q3\":%s,\"benchmarks\":%llu,"
       "\"confirmed_benchmarks\":%llu,\"confirm_escalation_fraction\":%s,"
       "\"confirm_identical\":%s}",
-      formatDoubleShortest(TFull.Stats.WallSeconds).c_str(),
-      formatDoubleShortest(TConfirm.Stats.WallSeconds).c_str(),
+      TierReps, formatDoubleShortest(Quartile(FullWalls, 2)).c_str(),
+      formatDoubleShortest(Quartile(FullWalls, 1)).c_str(),
+      formatDoubleShortest(Quartile(FullWalls, 3)).c_str(),
+      formatDoubleShortest(Quartile(ConfirmWalls, 2)).c_str(),
+      formatDoubleShortest(Quartile(ConfirmWalls, 1)).c_str(),
+      formatDoubleShortest(Quartile(ConfirmWalls, 3)).c_str(),
       static_cast<unsigned long long>(TFull.Stats.Benchmarks),
       static_cast<unsigned long long>(TConfirm.Stats.ConfirmedBenchmarks),
       formatDoubleShortest(ConfirmFraction).c_str(),
@@ -879,16 +923,19 @@ int main(int Argc, char **Argv) {
   std::printf("\ntrace arena (loop chain s = s + x, %llu iterations, max "
               "depth %u):\n"
               "  %.2f nodes/op (ceiling %.1f), live-node high watermark "
-              "%zu (ceiling %zu), %.0f ns/op\n",
+              "%zu (ceiling %zu), %.4g heap allocs/op in the second half "
+              "(ceiling 0), %.0f ns/op\n",
               static_cast<unsigned long long>(TraceProbe::Iterations),
               TP.MaxDepth, TP.NodesPerOp, TP.nodesPerOpCeiling(), TP.LiveHigh,
-              TP.liveHighCeiling(), TP.NsPerOp);
+              TP.liveHighCeiling(), TP.HeapAllocsPerOp, TP.NsPerOp);
   std::string TraceJson = format(
       "{\"iterations\":%llu,\"max_depth\":%u,\"nodes_per_op\":%s,"
-      "\"live_high\":%zu,\"ns_per_op\":%s,\"nodes_per_op_ceiling\":%s,"
-      "\"live_high_ceiling\":%zu,\"bounded\":%s}",
+      "\"live_high\":%zu,\"heap_allocs_per_op\":%s,\"ns_per_op\":%s,"
+      "\"nodes_per_op_ceiling\":%s,\"live_high_ceiling\":%zu,"
+      "\"bounded\":%s}",
       static_cast<unsigned long long>(TraceProbe::Iterations), TP.MaxDepth,
       formatDoubleShortest(TP.NodesPerOp).c_str(), TP.LiveHigh,
+      formatDoubleShortest(TP.HeapAllocsPerOp).c_str(),
       formatDoubleShortest(TP.NsPerOp).c_str(),
       formatDoubleShortest(TP.nodesPerOpCeiling()).c_str(),
       TP.liveHighCeiling(), TP.bounded() ? "true" : "false");
@@ -1124,6 +1171,15 @@ int main(int Argc, char **Argv) {
                  "nodes/op (ceiling %.1f), %zu live nodes (ceiling %zu)\n",
                  TP.NodesPerOp, TP.nodesPerOpCeiling(), TP.LiveHigh,
                  TP.liveHighCeiling());
+    return 1;
+  }
+  // The allocation-free anti-unification gate: once the loop chain's
+  // expression has settled, a traced op must not reach the heap.
+  if (!TP.allocationFree()) {
+    std::fprintf(stderr,
+                 "FAIL: %.4g heap allocations per op in the trace probe's "
+                 "steady state (expected 0)\n",
+                 TP.HeapAllocsPerOp);
     return 1;
   }
   // The trace-ladder gate (hardware-independent counters): no trace node

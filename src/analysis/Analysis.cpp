@@ -453,15 +453,16 @@ void Herbgrind::shadowFloatScalar(Opcode Op, uint32_t PC,
     Rec.Op = Op;
     Rec.Loc = Loc;
   }
-  ShadowValue *Out = shadowScalarOpCore(Cfg, *Shadow, Rec, Op, PC, ArgSV,
-                                        ArgConcrete, NumArgs, ConcreteResult);
+  ShadowValue *Out =
+      shadowScalarOpCore(Cfg, *Shadow, AUScratch, Rec, Op, PC, ArgSV,
+                         ArgConcrete, NumArgs, ConcreteResult);
   Shadow->setTempLane(DstTemp, DstLane, Out);
 }
 
 ShadowValue *herbgrind::shadowScalarOpCore(
-    const AnalysisConfig &Cfg, ShadowState &Shadow, OpRecord &Rec, Opcode Op,
-    uint32_t PC, ShadowValue *const *ArgSV, const Value *ArgConcrete,
-    unsigned NumArgs, const Value &ConcreteResult) {
+    const AnalysisConfig &Cfg, ShadowState &Shadow, AntiUnifyScratch &Scratch,
+    OpRecord &Rec, Opcode Op, uint32_t PC, ShadowValue *const *ArgSV,
+    const Value *ArgConcrete, unsigned NumArgs, const Value &ConcreteResult) {
   // Cost attribution (opprof, --profile-ops): bracket this execution with
   // a clock read and a limballoc counter delta. One relaxed load when the
   // profiler is off.
@@ -567,22 +568,23 @@ ShadowValue *herbgrind::shadowScalarOpCore(
   // Incremental record update (Section 6 "Incrementalization").
   ++Rec.Executions;
   Rec.LocalError.add(LocalErr);
-  std::vector<VarBinding> Bindings;
-  std::vector<Promotion> Promotions;
+  // This round's bindings; empty unless an existing expression was
+  // generalized against the trace.
+  std::vector<VarBinding> &Bindings = Scratch.Bindings;
+  Bindings.clear();
   if (!Trace) {
     // Trace-free: counters and statistics only.
   } else if (!Rec.Expr) {
     Rec.Expr = symbolize(Arena, Trace);
   } else {
-    Rec.Expr = antiUnify(Arena, Rec.Expr.get(), Trace, Rec.NextVarIdx,
-                         Bindings, &Promotions);
+    antiUnify(Arena, *Rec.Expr, Trace, Rec.NextVarIdx, Scratch);
     // A promoted constant held its value on every earlier round; credit
     // that history to the new variable before folding this round's
     // binding, so a variable's summary is exactly the multiset of values
     // its position took. That property is what makes per-shard summaries
     // merge losslessly (Executions already counts this round; Flagged
     // does not yet).
-    for (const Promotion &Pr : Promotions) {
+    for (const Promotion &Pr : Scratch.Promotions) {
       Rec.TotalInputs.addRepeated(Pr.Idx, Pr.OldValue, Rec.Executions - 1);
       Rec.ProblematicInputs.addRepeated(Pr.Idx, Pr.OldValue, Rec.Flagged);
       // The worst flagged round (if any) predates this promotion, so the
@@ -851,10 +853,8 @@ void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
   BFirst.reserve(Other.TotalInputs.Vars.size());
   for (const VarSummary &VS : Other.TotalInputs.Vars)
     BFirst.push_back({VS.Count > 0 && !VS.SawNaN, VS.Example});
-  uint32_t NewNext = NextVarIdx;
   std::vector<MergedVar> Vars;
-  std::unique_ptr<SymExpr> Merged = antiUnifyExprs(
-      Expr.get(), Other.Expr.get(), EquivDepth, BFirst, NewNext, Vars);
+  antiUnifyExprs(*Expr, *Other.Expr, EquivDepth, BFirst, NextVarIdx, Vars);
 
   // Combine input summaries through each merged variable's provenance. A
   // constant leaf contributed its value on every one of its side's rounds;
@@ -918,8 +918,6 @@ void OpRecord::mergeFrom(const OpRecord &Other, uint32_t EquivDepth) {
         ExampleProblematic.push_back({V.Idx, V.AConst});
   }
 
-  Expr = std::move(Merged);
-  NextVarIdx = NewNext;
   TotalInputs = std::move(NewTotal);
   ProblematicInputs = std::move(NewProb);
   mergeCounters(*this, Other);

@@ -203,12 +203,14 @@ double shadowValueErrorBits(const ShadowValue *SV, const Value &Concrete);
 /// One shadowed scalar float operation (Figure 4): evaluates the op over
 /// the reals, measures local error, detects compensating terms, propagates
 /// influences, extends the concrete trace, and folds everything into
-/// \p Rec (whose Op/Loc the caller has already stamped). \p PC is the
+/// \p Rec (whose Op/Loc the caller has already stamped), generalizing its
+/// expression in place with the analyzer's \p Scratch. \p PC is the
 /// operation's stable static identity (an interpreter pc or an interned
 /// native callsite). Returns the result's shadow value; the caller owns
 /// one reference.
 ShadowValue *shadowScalarOpCore(const AnalysisConfig &Cfg, ShadowState &Shadow,
-                                OpRecord &Rec, Opcode Op, uint32_t PC,
+                                AntiUnifyScratch &Scratch, OpRecord &Rec,
+                                Opcode Op, uint32_t PC,
                                 ShadowValue *const *ArgSV,
                                 const Value *ArgConcrete, unsigned NumArgs,
                                 const Value &ConcreteResult);
@@ -327,6 +329,7 @@ private:
   TraceArena Arena;
   InfluenceSets Sets;
   std::unique_ptr<ShadowState> Shadow;
+  AntiUnifyScratch AUScratch;
   std::vector<ValueType> TempTypes;
   std::vector<bool> Skippable;
   std::map<uint32_t, OpRecord> Ops;

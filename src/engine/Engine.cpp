@@ -831,21 +831,22 @@ static SweepSource coreSource(const fpcore::Core &C,
   AnalysisConfig FreeCfg = ACfg, PCfg = ACfg;
   FreeCfg.TraceFree = true;
   PCfg.PredicateOnly = true;
-  Src.AnalyzeShard = [&C, &Cache, &ACfg, FreeCfg, RunOne](
+  // Looked up once per run: ProgramCache::get prints the whole core to
+  // build its key, too slow to repeat for every shard.
+  const Program &P = Cache.get(C);
+  Src.AnalyzeShard = [&P, &ACfg, FreeCfg, RunOne](
                          uint64_t RunId,
                          const std::vector<std::vector<double>> &Inputs,
                          size_t Begin, size_t End, bool TraceFree) {
-    const Program &P = Cache.get(C);
     const AnalysisConfig &A = TraceFree ? FreeCfg : ACfg;
     auto Make = [&] { return std::make_unique<Herbgrind>(P, A); };
     return analyzeShardWorkerLocal<Herbgrind>(RunId, &P, TraceFree, Make,
                                               RunOne, Inputs, Begin, End);
   };
-  Src.Tier0Shard = [&C, &Cache, PCfg, RunOne](
+  Src.Tier0Shard = [&P, PCfg, RunOne](
                        uint64_t RunId,
                        const std::vector<std::vector<double>> &Inputs,
                        size_t Begin, size_t End) {
-    const Program &P = Cache.get(C);
     return tier0ShardWorkerLocal<Herbgrind>(
         RunId, &P, [&] { return std::make_unique<Herbgrind>(P, PCfg); },
         RunOne, Inputs, Begin, End);

@@ -358,8 +358,8 @@ Real Context::applyOp(Opcode Op, const Real *const *Args, unsigned N) {
     Rec.Op = Op;
     Rec.Loc = *CurLoc;
   }
-  ShadowValue *Out = shadowScalarOpCore(Cfg, *Shadow, Rec, Op, PC, ArgSV,
-                                        ArgVals, N, Concrete);
+  ShadowValue *Out = shadowScalarOpCore(Cfg, *Shadow, AUScratch, Rec, Op, PC,
+                                        ArgSV, ArgVals, N, Concrete);
   for (unsigned I = 0; I < N; ++I)
     if (Ephemeral[I])
       Shadow->release(Ephemeral[I]);

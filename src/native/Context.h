@@ -241,6 +241,7 @@ private:
   TraceArena Arena;
   InfluenceSets Sets;
   std::unique_ptr<ShadowState> Shadow;
+  AntiUnifyScratch AUScratch;
   const double *Inputs = nullptr;
   size_t NumInputs = 0;
   std::map<uint32_t, OpRecord> Ops;

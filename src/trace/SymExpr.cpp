@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace herbgrind;
 
@@ -142,84 +140,89 @@ uint64_t symFingerprint(const SymExpr *E, uint32_t DepthLeft) {
   return 0;
 }
 
-struct PairKey {
-  uint64_t SymFP, ConcFP;
-  bool operator==(const PairKey &O) const {
-    return SymFP == O.SymFP && ConcFP == O.ConcFP;
-  }
-};
-struct PairKeyHash {
-  size_t operator()(const PairKey &K) const {
-    return K.SymFP * 0x9e3779b97f4a7c15ULL ^ K.ConcFP;
-  }
-};
+/// Turns \p S into the variable \p Idx, dropping whatever it held.
+void becomeVar(SymExpr &S, uint32_t Idx) {
+  S.Kind = SymExpr::SEKind::Var;
+  S.Op = Opcode::AddF64;
+  S.ConstVal = 0.0;
+  S.VarIdx = Idx;
+  S.Site = UINT32_MAX;
+  S.Kids.clear();
+  S.Kids.shrink_to_fit();
+}
 
-/// Shared state of one anti-unification round.
+/// One anti-unification round over the analyzer's scratch.
 struct Generalizer {
   TraceArena &Arena;
   uint32_t &NextVarIdx;
-  std::vector<VarBinding> &Bindings;
-  std::vector<Promotion> *Promotions;
-  std::unordered_map<PairKey, uint32_t, PairKeyHash> VarForPair;
-  std::unordered_set<uint32_t> ReusedThisRound;
+  AntiUnifyScratch &Scratch;
 
-  std::unique_ptr<SymExpr> makeVariable(const SymExpr *S, TraceNode *T,
-                                        uint32_t Budget) {
-    PairKey Key{symFingerprint(S, Arena.equivDepth()),
-                Arena.fingerprint(T, Budget)};
-    auto It = VarForPair.find(Key);
-    uint32_t Idx;
-    if (It != VarForPair.end()) {
-      Idx = It->second;
-    } else {
-      // Keep the old variable index alive when this is the first concrete
-      // class paired with it this round, so summaries stay attached.
-      if (S->Kind == SymExpr::SEKind::Var &&
-          !ReusedThisRound.count(S->VarIdx)) {
-        Idx = S->VarIdx;
-      } else {
-        Idx = NextVarIdx++;
-      }
-      ReusedThisRound.insert(Idx);
-      VarForPair.emplace(Key, Idx);
-      Bindings.push_back({Idx, T->Value});
-      // A constant held this value on every earlier round; report the
-      // promotion so summaries can credit that history to the variable.
-      if (Promotions && S->Kind == SymExpr::SEKind::Const)
-        Promotions->push_back({Idx, S->ConstVal});
-    }
-    return SymExpr::makeVar(Idx);
+  /// Whether a class pair of this round already took variable \p Idx.
+  bool claimed(uint32_t Idx) const {
+    for (const AntiUnifyScratch::PairVar &P : Scratch.Pairs)
+      if (P.Idx == Idx)
+        return true;
+    return false;
   }
 
-  /// Generalizes \p S against the trace \p T as seen with \p Budget.
-  std::unique_ptr<SymExpr> gen(const SymExpr *S, TraceNode *T,
-                               uint32_t Budget) {
-    bool TLeaf = T->leafAt(Budget);
-    if (S->Kind == SymExpr::SEKind::Op && !TLeaf && S->Op == T->Op &&
-        S->Kids.size() == T->NumKids) {
-      auto E = SymExpr::makeOp(S->Op, T->Site);
-      for (unsigned I = 0; I < T->NumKids; ++I)
-        E->Kids.push_back(gen(S->Kids[I].get(), T->Kids[I], Budget - 1));
-      return E;
+  /// Makes \p S the variable of its (symbolic, concrete) class pair.
+  void makeVariable(SymExpr &S, TraceNode *T, uint32_t Budget) {
+    uint64_t SymFP = symFingerprint(&S, Arena.equivDepth());
+    uint64_t ConcFP = Arena.fingerprint(T, Budget);
+    uint32_t Idx = 0;
+    bool Found = false;
+    for (const AntiUnifyScratch::PairVar &P : Scratch.Pairs)
+      if (P.SymFP == SymFP && P.ConcFP == ConcFP) {
+        Idx = P.Idx;
+        Found = true;
+        break;
+      }
+    if (!Found) {
+      // Keep the old variable index alive when this is the first concrete
+      // class paired with it this round, so summaries stay attached.
+      if (S.Kind == SymExpr::SEKind::Var && !claimed(S.VarIdx))
+        Idx = S.VarIdx;
+      else
+        Idx = NextVarIdx++;
+      Scratch.Pairs.push_back({SymFP, ConcFP, Idx});
+      Scratch.Bindings.push_back({Idx, T->Value});
+      // A constant held this value on every earlier round; report the
+      // promotion so summaries can credit that history to the variable.
+      if (S.Kind == SymExpr::SEKind::Const)
+        Scratch.Promotions.push_back({Idx, S.ConstVal});
     }
-    if (S->Kind == SymExpr::SEKind::Const && TLeaf &&
-        bitsOfDouble(S->ConstVal) == bitsOfDouble(T->Value))
-      return SymExpr::makeConst(S->ConstVal);
-    return makeVariable(S, T, Budget);
+    if (S.Kind != SymExpr::SEKind::Var || S.VarIdx != Idx)
+      becomeVar(S, Idx);
+  }
+
+  /// Generalizes \p S against the trace \p T as seen with \p Budget, in
+  /// preorder. Sibling subtrees are disjoint, so rewriting one never
+  /// changes the fingerprint of a position visited later.
+  void gen(SymExpr &S, TraceNode *T, uint32_t Budget) {
+    bool TLeaf = T->leafAt(Budget);
+    if (S.Kind == SymExpr::SEKind::Op && !TLeaf && S.Op == T->Op &&
+        S.Kids.size() == T->NumKids) {
+      S.Site = T->Site;
+      for (unsigned I = 0; I < T->NumKids; ++I)
+        gen(*S.Kids[I], T->Kids[I], Budget - 1);
+      return;
+    }
+    if (S.Kind == SymExpr::SEKind::Const && TLeaf &&
+        bitsOfDouble(S.ConstVal) == bitsOfDouble(T->Value))
+      return;
+    makeVariable(S, T, Budget);
   }
 };
 
 } // namespace
 
-std::unique_ptr<SymExpr>
-herbgrind::antiUnify(TraceArena &Arena, const SymExpr *Expr, TraceNode *Trace,
-                     uint32_t &NextVarIdx, std::vector<VarBinding> &Bindings,
-                     std::vector<Promotion> *Promotions) {
-  Bindings.clear();
-  if (Promotions)
-    Promotions->clear();
-  Generalizer G{Arena, NextVarIdx, Bindings, Promotions, {}, {}};
-  return G.gen(Expr, Trace, Arena.rootBudget());
+void herbgrind::antiUnify(TraceArena &Arena, SymExpr &Expr, TraceNode *Trace,
+                          uint32_t &NextVarIdx, AntiUnifyScratch &Scratch) {
+  Scratch.Bindings.clear();
+  Scratch.Promotions.clear();
+  Scratch.Pairs.clear();
+  Generalizer G{Arena, NextVarIdx, Scratch};
+  G.gen(Expr, Trace, Arena.rootBudget());
 }
 
 //===----------------------------------------------------------------------===//
@@ -231,7 +234,7 @@ namespace {
 /// One generalization site of the A/B alignment: a unique (A-subtree,
 /// B-subtree) equivalence-class pair that becomes one merged variable.
 struct MergeSite {
-  PairKey Key;
+  uint64_t AFP, BFP;
   const SymExpr *SA;
   const SymExpr *SB;
   uint32_t AssignedIdx = 0;
@@ -244,30 +247,34 @@ struct ExprMerger {
   uint32_t EquivDepth;
   const std::vector<std::pair<bool, double>> &BFirstValues;
   std::vector<MergeSite> Sites; ///< In first-visit traversal order.
-  std::unordered_map<PairKey, size_t, PairKeyHash> SiteForPair;
+  /// The site of every unaligned position, in traversal order.
+  std::vector<uint32_t> Positions;
 
-  bool aligned(const SymExpr *SA, const SymExpr *SB) const {
-    if (SA->Kind == SymExpr::SEKind::Op && SB->Kind == SymExpr::SEKind::Op)
-      return SA->Op == SB->Op && SA->Kids.size() == SB->Kids.size();
-    if (SA->Kind == SymExpr::SEKind::Const &&
-        SB->Kind == SymExpr::SEKind::Const)
-      return bitsOfDouble(SA->ConstVal) == bitsOfDouble(SB->ConstVal);
+  bool aligned(const SymExpr &SA, const SymExpr &SB) const {
+    if (SA.Kind == SymExpr::SEKind::Op && SB.Kind == SymExpr::SEKind::Op)
+      return SA.Op == SB.Op && SA.Kids.size() == SB.Kids.size();
+    if (SA.Kind == SymExpr::SEKind::Const &&
+        SB.Kind == SymExpr::SEKind::Const)
+      return bitsOfDouble(SA.ConstVal) == bitsOfDouble(SB.ConstVal);
     return false;
   }
 
-  void collect(const SymExpr *SA, const SymExpr *SB) {
-    if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
-      for (size_t I = 0; I < SA->Kids.size(); ++I)
-        collect(SA->Kids[I].get(), SB->Kids[I].get());
+  void collect(const SymExpr &SA, const SymExpr &SB) {
+    if (aligned(SA, SB)) {
+      // Aligned operations recurse; equal constants stay concrete.
+      for (size_t I = 0; I < SA.Kids.size(); ++I)
+        collect(*SA.Kids[I], *SB.Kids[I]);
       return;
     }
-    if (aligned(SA, SB))
-      return; // equal constants stay concrete
-    PairKey Key{symFingerprint(SA, EquivDepth), symFingerprint(SB, EquivDepth)};
-    if (SiteForPair.count(Key))
-      return;
-    SiteForPair.emplace(Key, Sites.size());
-    Sites.push_back({Key, SA, SB, 0, false, false});
+    uint64_t AFP = symFingerprint(&SA, EquivDepth);
+    uint64_t BFP = symFingerprint(&SB, EquivDepth);
+    uint32_t Site = 0;
+    while (Site < Sites.size() &&
+           (Sites[Site].AFP != AFP || Sites[Site].BFP != BFP))
+      ++Site;
+    if (Site == Sites.size())
+      Sites.push_back({AFP, BFP, &SA, &SB, 0, false, false});
+    Positions.push_back(Site);
   }
 
   /// Would sequential processing have generalized this site on B's very
@@ -291,11 +298,13 @@ struct ExprMerger {
 
   void assignIndices(uint32_t &NextVarIdx, std::vector<MergedVar> &Vars) {
     // Pass 1: A-side variables keep their index (first claim wins, exactly
-    // like ReusedThisRound on the incremental path).
-    std::unordered_set<uint32_t> ClaimedA;
+    // like claimed() on the incremental path).
+    std::vector<uint32_t> ClaimedA;
     for (MergeSite &S : Sites)
       if (S.SA->Kind == SymExpr::SEKind::Var &&
-          ClaimedA.insert(S.SA->VarIdx).second) {
+          std::find(ClaimedA.begin(), ClaimedA.end(), S.SA->VarIdx) ==
+              ClaimedA.end()) {
+        ClaimedA.push_back(S.SA->VarIdx);
         S.AssignedIdx = S.SA->VarIdx;
         S.Assigned = true;
       }
@@ -348,29 +357,31 @@ struct ExprMerger {
     }
   }
 
-  std::unique_ptr<SymExpr> rebuild(const SymExpr *SA, const SymExpr *SB) {
-    if (aligned(SA, SB) && SA->Kind == SymExpr::SEKind::Op) {
-      auto E = SymExpr::makeOp(SA->Op, SA->Site);
-      for (size_t I = 0; I < SA->Kids.size(); ++I)
-        E->Kids.push_back(rebuild(SA->Kids[I].get(), SB->Kids[I].get()));
-      return E;
+  /// Rewrites A's unaligned positions into their sites' variables, in the
+  /// traversal order collect() recorded them. Runs after assignIndices(),
+  /// which is the last reader of the sites' A subtrees.
+  void rewrite(SymExpr &SA, const SymExpr &SB, size_t &Next) {
+    if (aligned(SA, SB)) {
+      for (size_t I = 0; I < SA.Kids.size(); ++I)
+        rewrite(*SA.Kids[I], *SB.Kids[I], Next);
+      return;
     }
-    if (aligned(SA, SB))
-      return SymExpr::makeConst(SA->ConstVal);
-    PairKey Key{symFingerprint(SA, EquivDepth), symFingerprint(SB, EquivDepth)};
-    return SymExpr::makeVar(Sites[SiteForPair.at(Key)].AssignedIdx);
+    uint32_t Idx = Sites[Positions[Next++]].AssignedIdx;
+    if (SA.Kind != SymExpr::SEKind::Var || SA.VarIdx != Idx)
+      becomeVar(SA, Idx);
   }
 };
 
 } // namespace
 
-std::unique_ptr<SymExpr> herbgrind::antiUnifyExprs(
-    const SymExpr *A, const SymExpr *B, uint32_t EquivDepth,
+void herbgrind::antiUnifyExprs(
+    SymExpr &A, const SymExpr &B, uint32_t EquivDepth,
     const std::vector<std::pair<bool, double>> &BFirstValues,
     uint32_t &NextVarIdx, std::vector<MergedVar> &Vars) {
   Vars.clear();
   ExprMerger M{EquivDepth, BFirstValues, {}, {}};
   M.collect(A, B);
   M.assignIndices(NextVarIdx, Vars);
-  return M.rebuild(A, B);
+  size_t Next = 0;
+  M.rewrite(A, B, Next);
 }

@@ -27,7 +27,7 @@
 namespace herbgrind {
 
 /// A symbolic expression tree. Plain owned trees (no sharing): one lives on
-/// each operation record and is rebuilt by generalization.
+/// each operation record and is generalized in place.
 struct SymExpr {
   enum class SEKind : uint8_t { Op, Const, Var };
 
@@ -81,17 +81,34 @@ struct Promotion {
 /// later execution disagrees with them.
 std::unique_ptr<SymExpr> symbolize(TraceArena &Arena, TraceNode *Trace);
 
-/// Incremental anti-unification: most specific generalization of the
-/// accumulated \p Expr and a new concrete \p Trace. \p Bindings receives
-/// the (variable, concrete value) pairs of this round. Variable indices
-/// are kept stable where possible so input summaries can accumulate
-/// across rounds; \p NextVarIdx persists on the operation record. When
-/// \p Promotions is non-null it receives the constant leaves this round
-/// turned into variables (see Promotion).
-std::unique_ptr<SymExpr> antiUnify(TraceArena &Arena, const SymExpr *Expr,
-                                   TraceNode *Trace, uint32_t &NextVarIdx,
-                                   std::vector<VarBinding> &Bindings,
-                                   std::vector<Promotion> *Promotions = nullptr);
+/// Working memory of incremental anti-unification. An analyzer owns one
+/// and reuses it for every round, so a round whose expression does not
+/// change allocates nothing. Bindings and Promotions hold the results of
+/// the last round; Pairs is internal to a round.
+struct AntiUnifyScratch {
+  /// One variable of the round: the (symbolic, concrete) equivalence-class
+  /// pair it stands for.
+  struct PairVar {
+    uint64_t SymFP, ConcFP;
+    uint32_t Idx;
+  };
+
+  std::vector<VarBinding> Bindings;  ///< (variable, concrete value) pairs.
+  std::vector<Promotion> Promotions; ///< Constants that became variables.
+  std::vector<PairVar> Pairs;        ///< Searched linearly.
+};
+
+/// Incremental anti-unification: generalizes \p Expr in place to the most
+/// specific generalization of itself and a new concrete \p Trace. Aligned
+/// operation nodes keep their identity (their Site is refreshed from the
+/// trace); only positions that become variables, or change variable index,
+/// are rewritten. Scratch.Bindings receives the (variable, concrete value)
+/// pairs of this round and Scratch.Promotions the constant leaves it turned
+/// into variables (see Promotion). Variable indices are kept stable where
+/// possible so input summaries can accumulate across rounds; \p NextVarIdx
+/// persists on the operation record.
+void antiUnify(TraceArena &Arena, SymExpr &Expr, TraceNode *Trace,
+               uint32_t &NextVarIdx, AntiUnifyScratch &Scratch);
 
 //===----------------------------------------------------------------------===//
 // Merging two accumulated symbolic expressions (the batch engine)
@@ -116,20 +133,20 @@ struct MergedVar {
   bool KeptA = false;  ///< Idx was inherited from the A side's variable.
 };
 
-/// Plotkin anti-unification of two accumulated symbolic expressions: the
-/// most specific generalization of \p A (the earlier shard) and \p B (the
-/// later shard), with subtree equivalence bounded at \p EquivDepth exactly
-/// like the incremental path. Variable indices from \p A are kept where
-/// possible; new variables are numbered from \p NextVarIdx in the order
-/// sequential processing of B's rounds after A's would have created them
-/// (\p BFirstValues -- per-B-variable {known, first observed value} --
-/// disambiguates whether a constant-vs-variable position generalized on
-/// B's first round or only when B itself generalized it). \p Vars receives
-/// the provenance of every merged variable.
-std::unique_ptr<SymExpr>
-antiUnifyExprs(const SymExpr *A, const SymExpr *B, uint32_t EquivDepth,
-               const std::vector<std::pair<bool, double>> &BFirstValues,
-               uint32_t &NextVarIdx, std::vector<MergedVar> &Vars);
+/// Plotkin anti-unification of two accumulated symbolic expressions:
+/// rewrites \p A (the earlier shard) in place into the most specific
+/// generalization of \p A and \p B (the later shard), with subtree
+/// equivalence bounded at \p EquivDepth exactly like the incremental path.
+/// Variable indices from \p A are kept where possible; new variables are
+/// numbered from \p NextVarIdx in the order sequential processing of B's
+/// rounds after A's would have created them (\p BFirstValues -- per-B-
+/// variable {known, first observed value} -- disambiguates whether a
+/// constant-vs-variable position generalized on B's first round or only
+/// when B itself generalized it). \p Vars receives the provenance of every
+/// merged variable.
+void antiUnifyExprs(SymExpr &A, const SymExpr &B, uint32_t EquivDepth,
+                    const std::vector<std::pair<bool, double>> &BFirstValues,
+                    uint32_t &NextVarIdx, std::vector<MergedVar> &Vars);
 
 } // namespace herbgrind
 

@@ -539,20 +539,17 @@ TEST(Engine, ProgramCacheCompilesEachBenchmarkOnce) {
   Cfg.ShardSize = 2; // 4 shards per benchmark
   Cfg.Jobs = 3;
   Engine Eng(Cfg);
-  // One program lookup per shard analysis: every shard once, plus, per
-  // benchmark that reports a root cause, the flipping shard's traced
-  // rerun and the replays of its other shards.
-  auto Analyses = [](const EngineStats &S) {
-    return S.Shards + S.TracedBenchmarks + S.ReplayedShards;
-  };
+  // One program lookup per benchmark per run, however many shard
+  // analyses (traced reruns and replays included) the run makes.
   BatchResult R = Eng.run(Cores);
+  EXPECT_GT(R.Stats.Shards, Cores.size());
   EXPECT_EQ(R.Stats.CacheMisses, Cores.size());
-  EXPECT_EQ(R.Stats.CacheHits, Analyses(R.Stats) - Cores.size());
+  EXPECT_EQ(R.Stats.CacheHits, 0u);
 
-  // A second run over the same cores hits the cache for every analysis.
+  // A second run over the same cores hits the cache once per benchmark.
   BatchResult R2 = Eng.run(Cores);
   EXPECT_EQ(R2.Stats.CacheMisses, 0u);
-  EXPECT_EQ(R2.Stats.CacheHits, Analyses(R2.Stats));
+  EXPECT_EQ(R2.Stats.CacheHits, Cores.size());
 }
 
 TEST(Engine, StatsAndStructureAreConsistent) {

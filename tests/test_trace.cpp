@@ -109,7 +109,8 @@ namespace {
 struct AUFixture : ::testing::Test {
   TraceArena A{64, 5};
   uint32_t NextVar = 0;
-  std::vector<VarBinding> Bindings;
+  AntiUnifyScratch Scratch;
+  const std::vector<VarBinding> &Bindings = Scratch.Bindings;
 
   /// trace of (x + 1) for a given x value.
   TraceNode *addOne(double X) {
@@ -136,14 +137,14 @@ TEST_F(AUFixture, VaryingLeafBecomesVariableConstantStays) {
   TraceNode *T1 = addOne(2.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = addOne(3.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Scratch);
   EXPECT_EQ(E->fpcoreBody(), "(+ x 1)");
   ASSERT_EQ(Bindings.size(), 1u);
   EXPECT_EQ(Bindings[0].Idx, 0u);
   EXPECT_EQ(Bindings[0].Value, 3.0);
   // Third round: variable stays stable.
   TraceNode *T3 = addOne(5.0);
-  E = antiUnify(A, E.get(), T3, NextVar, Bindings);
+  antiUnify(A, *E, T3, NextVar, Scratch);
   EXPECT_EQ(E->fpcoreBody(), "(+ x 1)");
   ASSERT_EQ(Bindings.size(), 1u);
   EXPECT_EQ(Bindings[0].Value, 5.0);
@@ -164,7 +165,7 @@ TEST_F(AUFixture, EquivalentSubtreesShareOneVariable) {
   TraceNode *T1 = Square(2.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = Square(3.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Scratch);
   EXPECT_EQ(E->fpcoreBody(), "(* x x)");
   EXPECT_EQ(E->numVars(), 1u);
   A.release(T1);
@@ -184,7 +185,7 @@ TEST_F(AUFixture, IndependentLeavesGetDistinctVariables) {
   TraceNode *T1 = Mul(2.0, 7.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = Mul(3.0, 8.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Scratch);
   EXPECT_EQ(E->fpcoreBody(), "(* x y)");
   EXPECT_EQ(E->numVars(), 2u);
   A.release(T1);
@@ -201,7 +202,7 @@ TEST_F(AUFixture, StructuralMismatchGeneralizesToVariable) {
   TraceNode *One = A.leaf(1.0);
   TraceNode *AddKids[2] = {Sq, One};
   TraceNode *T2 = A.node(Opcode::AddF64, 11, 4.0, AddKids, 2);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Scratch);
   EXPECT_EQ(E->fpcoreBody(), "(+ x 1)");
   // The variable bound the sqrt subtree's VALUE this round.
   ASSERT_EQ(Bindings.size(), 1u);
@@ -217,7 +218,7 @@ TEST_F(AUFixture, DifferentOpsCollapseToVariable) {
   TraceNode *L2 = A.leaf(1.0);
   TraceNode *Kids[2] = {L1, L2};
   TraceNode *T2 = A.node(Opcode::SubF64, 11, 1.0, Kids, 2);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Scratch);
   EXPECT_EQ(E->Kind, SymExpr::SEKind::Var);
   for (TraceNode *N : {T1, L1, L2, T2})
     A.release(N);
@@ -238,10 +239,10 @@ TEST_F(AUFixture, SplitVariablesWhenValuesDiverge) {
   TraceNode *T1 = Mul(2.0, 2.0);
   auto E = symbolize(A, T1);
   TraceNode *T2 = Mul(3.0, 3.0);
-  E = antiUnify(A, E.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E, T2, NextVar, Scratch);
   EXPECT_EQ(E->numVars(), 1u);
   TraceNode *T3 = Mul(4.0, 5.0);
-  E = antiUnify(A, E.get(), T3, NextVar, Bindings);
+  antiUnify(A, *E, T3, NextVar, Scratch);
   EXPECT_EQ(E->numVars(), 2u);
   EXPECT_EQ(E->Kids[0]->Kind, SymExpr::SEKind::Var);
   EXPECT_EQ(E->Kids[1]->Kind, SymExpr::SEKind::Var);
@@ -252,13 +253,13 @@ TEST_F(AUFixture, SplitVariablesWhenValuesDiverge) {
 
 TEST_F(AUFixture, GeneralizationIsIdempotentOnRepeatedTraces) {
   TraceNode *T1 = addOne(2.0);
-  auto E1 = symbolize(A, T1);
+  auto E2 = symbolize(A, T1);
   TraceNode *T2 = addOne(3.0);
-  auto E2 = antiUnify(A, E1.get(), T2, NextVar, Bindings);
+  antiUnify(A, *E2, T2, NextVar, Scratch);
   std::string Stable = E2->fpcoreBody();
   for (int I = 0; I < 5; ++I) {
     TraceNode *T = addOne(3.0);
-    E2 = antiUnify(A, E2.get(), T, NextVar, Bindings);
+    antiUnify(A, *E2, T, NextVar, Scratch);
     EXPECT_EQ(E2->fpcoreBody(), Stable);
     A.release(T);
   }
@@ -458,8 +459,9 @@ size_t checkViewsMatchEager(const std::vector<Stmt> &Body, unsigned NumSlots,
     uint32_t Next = 0, RefNext = 0;
   };
   std::vector<SiteState> Sites(Body.size());
-  std::vector<VarBinding> B1, B2;
-  std::vector<Promotion> P1, P2;
+  AntiUnifyScratch S1, S2;
+  const std::vector<VarBinding> &B1 = S1.Bindings, &B2 = S2.Bindings;
+  const std::vector<Promotion> &P1 = S1.Promotions, &P2 = S2.Promotions;
   size_t Made = 0; // nodes and leaves this function asked for
 
   for (unsigned It = 0; It < Iters; ++It) {
@@ -495,8 +497,8 @@ size_t checkViewsMatchEager(const std::vector<Stmt> &Body, unsigned NumSlots,
         St.Expr = symbolize(A, T);
         St.RefExpr = symbolize(Wide, RT);
       } else {
-        St.Expr = antiUnify(A, St.Expr.get(), T, St.Next, B1, &P1);
-        St.RefExpr = antiUnify(Wide, St.RefExpr.get(), RT, St.RefNext, B2, &P2);
+        antiUnify(A, *St.Expr, T, St.Next, S1);
+        antiUnify(Wide, *St.RefExpr, RT, St.RefNext, S2);
         EXPECT_EQ(B1.size(), B2.size());
         for (size_t I = 0; I < std::min(B1.size(), B2.size()); ++I) {
           EXPECT_EQ(B1[I].Idx, B2[I].Idx);
